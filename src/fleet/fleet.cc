@@ -328,11 +328,12 @@ Router::admit(uint64_t id, std::vector<int16_t> query,
         Status st = dispatchShard(qs, s, arrival_seconds);
         if (!st.ok()) {
             // Loud failure: the query is completed (exactly once)
-            // as not-ok rather than silently dropped.
+            // as not-ok rather than silently dropped; its flight
+            // names the unroutable shard.
             qs.failed = true;
             qs.subs[s].done = true;
+            qs.subs[s].unroutable = true;
             --qs.remaining;
-            flight_.recordShed(id, arrival_seconds, "unroutable");
             if (first_err.ok())
                 first_err = st;
         }
@@ -384,6 +385,7 @@ Router::collect(unsigned device,
             if (!st.ok()) {
                 qs.failed = true;
                 sub.done = true;
+                sub.unroutable = true;
                 --qs.remaining;
             }
             continue;
@@ -482,8 +484,10 @@ Router::finishQuery(QueryState &qs)
         const SubState &sub = qs.subs[s];
         flight_.span(qs.id, obs::Stage::ShardPath, sub.failovers,
                      qs.admitSeconds, sub.pathSeconds,
-                     detail::concat("shard", s, "@dev",
-                                    sub.device));
+                     sub.unroutable
+                         ? detail::concat("shard", s, " unroutable")
+                         : detail::concat("shard", s, "@dev",
+                                          sub.device));
     }
     flight_.span(qs.id, obs::Stage::ShardGather, 0,
                  qs.admitSeconds, gather);
@@ -498,6 +502,7 @@ Router::finishQuery(QueryState &qs)
     fc.attempts = attempts;
     fc.batchSize = shards_;
     fc.servedSeconds = latency;
+    fc.ok = out.ok;
     flight_.complete(qs.id, fc);
 
     auto &reg = metrics::Registry::get();
@@ -565,6 +570,11 @@ Router::applyMutation(uint64_t new_epoch,
     cisram_assert(new_epoch == epoch_ + 1,
                   "fleet: corpus epochs advance one at a time (at ",
                   epoch_, ", asked for ", new_epoch, ")");
+    // Rejected before the barrier drains anything: the shard servers'
+    // clusterings cannot follow a mutated corpus.
+    cisram_assert(!cfg_.server.ivf.enabled,
+                  "fleet: corpus mutation is not supported with IVF "
+                  "serving (FleetConfig::server.ivf.enabled)");
 
     // Epoch barrier: a query's answer bit-compares against the
     // snapshot it was admitted under, so every in-flight query

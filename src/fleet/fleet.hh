@@ -365,6 +365,7 @@ class Router
         unsigned failovers = 0;
         unsigned attempts = 0;
         bool done = false;
+        bool unroutable = false; ///< every replica refused it
         bool fromDevice = true;
         double pathSeconds = 0; ///< send + served + return
         std::vector<baseline::Hit> hits; ///< globalized ids

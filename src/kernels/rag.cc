@@ -1,6 +1,9 @@
 #include "kernels/rag.hh"
 
 #include <algorithm>
+#include <functional>
+#include <numeric>
+#include <optional>
 
 #include "common/bitutils.hh"
 #include "common/gsifloat.hh"
@@ -123,7 +126,8 @@ unbias(uint16_t biased)
 /**
  * Extract the top-k of the score VR (biased u16) with the
  * associative max search, clearing each winner. Returns candidates
- * with VR-local indices; charges accrue to the caller's ledger.
+ * with VR-local indices; charges accrue to the caller's ledger, and
+ * the caller charges the CP merge of the candidate sets.
  */
 std::vector<Hit>
 extractTopK(Gvml &g, ApuCore &core, Vr score, size_t k,
@@ -138,7 +142,6 @@ extractTopK(Gvml &g, ApuCore &core, Vr score, size_t k,
             out.push_back({unbias(mx.value), mx.index});
         }
     }
-    core.chargeRaw(mergeCyclesPerVr);
     return out;
 }
 
@@ -180,6 +183,110 @@ overlapHiddenSeconds(ApuDevice &dev, const apu::TimingParams &t,
     return hidden;
 }
 
+/**
+ * Dimension-major supertile planes of `rows` rows, staged in L4 for
+ * the object's lifetime: the functional model of the corpus stream
+ * (the HBM stream itself is timed separately). Supertile st is dim
+ * planes, plane d holding element d of rows [st*l, st*l + l) with
+ * zeros past the last row; given an admit predicate, an admit plane
+ * follows: 1 where a row may match, 0 on excluded rows and padding
+ * lanes, so a ragged tail's biased-zero dot products can never
+ * outrank real (possibly negative) scores.
+ */
+class StagedPlanes
+{
+  public:
+    /** Writes row i's dim elements to out. */
+    using RowFn = std::function<void(size_t i, int16_t *out)>;
+    /** Whether row i may match. */
+    using AdmitFn = std::function<bool(size_t i)>;
+
+    /** @param gf16 Stage each element as its gf16 bit pattern. */
+    StagedPlanes(ApuDevice &dev, size_t rows, size_t dim,
+                 const RowFn &row, const AdmitFn &admit,
+                 bool gf16 = false)
+        : dev_(dev), l_(dev.spec().vrLength),
+          stride_(dim + (admit ? 1 : 0))
+    {
+        cisram_assert(rows <= (size_t(1) << 21),
+                      "functional corpus too large");
+        size_t supertiles = divCeil(rows, l_);
+        addr_ = dev.allocator().alloc(
+            std::max<size_t>(1, supertiles) * stride_ * l_ * 2, 512);
+        // Rows generate a block at a time and transpose into plane
+        // segments, so the host holds one block of rows, not a
+        // supertile.
+        constexpr size_t kBlockRows = 512;
+        std::vector<int16_t> block(kBlockRows * dim);
+        std::vector<uint16_t> seg(l_);
+        for (size_t st = 0; st < supertiles; ++st) {
+            size_t valid = std::min(l_, rows - st * l_);
+            uint64_t tile = addr_ + st * stride_ * l_ * 2;
+            for (size_t j0 = 0; j0 < valid; j0 += kBlockRows) {
+                size_t n = std::min(kBlockRows, valid - j0);
+                for (size_t j = 0; j < n; ++j)
+                    row(st * l_ + j0 + j, block.data() + j * dim);
+                for (size_t d = 0; d < dim; ++d) {
+                    const int16_t *col = block.data() + d;
+                    if (gf16) {
+                        for (size_t j = 0; j < n; ++j)
+                            seg[j] = GsiFloat16::fromFloat(
+                                         static_cast<float>(col[j * dim]))
+                                         .bits();
+                    } else {
+                        for (size_t j = 0; j < n; ++j)
+                            seg[j] = static_cast<uint16_t>(col[j * dim]);
+                    }
+                    dev.l4().write(tile + (d * l_ + j0) * 2, seg.data(),
+                                   n * 2);
+                }
+            }
+            std::fill(seg.begin(), seg.end(), 0);
+            if (valid < l_)
+                for (size_t d = 0; d < dim; ++d)
+                    dev.l4().write(tile + (d * l_ + valid) * 2,
+                                   seg.data(), (l_ - valid) * 2);
+            if (admit) {
+                for (size_t j = 0; j < valid; ++j)
+                    seg[j] = admit(st * l_ + j) ? 1 : 0;
+                dev.l4().write(tile + dim * l_ * 2, seg.data(), l_ * 2);
+            }
+        }
+    }
+
+    ~StagedPlanes() { dev_.allocator().free(addr_); }
+
+    StagedPlanes(const StagedPlanes &) = delete;
+    StagedPlanes &operator=(const StagedPlanes &) = delete;
+
+    /** Functional ingest of plane d (d == dim: the admit plane) of
+     * supertile st into L1 slot vm. */
+    void
+    ingest(ApuCore &core, Vmr vm, size_t st, size_t d) const
+    {
+        dev_.l4().read(addr_ + (st * stride_ + d) * l_ * 2,
+                       core.l1().slot(vm.idx).data(), l_ * 2);
+    }
+
+  private:
+    ApuDevice &dev_;
+    size_t l_;
+    size_t stride_; ///< planes per supertile
+    uint64_t addr_ = 0;
+};
+
+/** Corpus rows: row i is local position positions[i] (i if null). */
+StagedPlanes::RowFn
+corpusRows(const RagCorpusSpec &spec, uint64_t seed,
+           const uint32_t *positions = nullptr)
+{
+    return [&spec, seed, positions](size_t i, int16_t *out) {
+        baseline::genEmbeddingRow(
+            spec, spec.globalChunk(positions ? positions[i] : i), seed,
+            out);
+    };
+}
+
 } // namespace
 
 RagRetriever::RagRetriever(ApuDevice &dev, dram::DramSystem &hbm,
@@ -202,19 +309,62 @@ RagRetriever::~RagRetriever()
     dev.allocator().free(idsAddr_);
 }
 
-void
-RagRetriever::publishTopkIds(RagRunResult &res, size_t slot)
+std::vector<RagRunResult>
+RagRetriever::finishPass(RagRunResult pass, double calc_cycles,
+                         double topk_cycles, size_t overlap_supertiles,
+                         std::vector<std::vector<Hit>> candidates)
 {
-    res.topkIdsAddr =
-        idsAddr_ + slot * topK * sizeof(uint32_t);
-    res.topkIdsCount = res.hits.size();
-    if (res.hits.empty())
-        return;
-    std::vector<uint32_t> ids(res.hits.size());
-    for (size_t i = 0; i < res.hits.size(); ++i)
-        ids[i] = static_cast<uint32_t>(res.hits[i].id);
-    dev.l4().write(res.topkIdsAddr, ids.data(),
-                   ids.size() * sizeof(uint32_t));
+    ApuCore &core = dev.core(coreIdx_);
+    size_t lanes = candidates.size();
+    double before = core.stats().cycles();
+    core.chargeRaw(returnTopkCycles * static_cast<double>(lanes));
+    pass.stages.returnTopk =
+        dev.cyclesToSeconds(core.stats().cycles() - before);
+    pass.stages.calcDistance =
+        dev.cyclesToSeconds(calc_cycles - topk_cycles);
+    pass.stages.topkAggregation = dev.cyclesToSeconds(topk_cycles);
+
+    // Overlapped corpus streaming: with both DMA engines active, the
+    // HBM stream for supertile st+1 lands in the spare L4 buffer
+    // while the VXU scores supertile st. The stage latencies keep
+    // their full (sequential) attribution; only overlapHidden — the
+    // portion of the stream the pipeline hides, provably bounded by
+    // both loadEmbedding and calcDistance (see overlapHiddenSeconds)
+    // — feeds back into total().
+    pass.stages.overlapHidden = overlapHiddenSeconds(
+        dev, dev.timing(), pass.stages.loadEmbedding,
+        pass.stages.calcDistance, overlap_supertiles);
+
+    // One corpus pass serves every lane, so an uncorrectable ECC
+    // error taints every result in it.
+    Status ecc = hbm.takeFaultStatus();
+    double b = static_cast<double>(lanes);
+    std::vector<RagRunResult> results(lanes);
+    for (size_t q = 0; q < lanes; ++q) {
+        RagRunResult &r = results[q];
+        r.stages.loadEmbedding = pass.stages.loadEmbedding / b;
+        r.stages.loadQuery = pass.stages.loadQuery / b;
+        r.stages.calcDistance = pass.stages.calcDistance / b;
+        r.stages.topkAggregation = pass.stages.topkAggregation / b;
+        r.stages.returnTopk = pass.stages.returnTopk / b;
+        r.stages.overlapHidden = pass.stages.overlapHidden / b;
+        r.computeSeconds = r.stages.calcDistance;
+        r.dramBytes = pass.dramBytes / b;
+        r.cacheBytes = 2.0 * pass.dramBytes / b;
+        r.hits = mergeHits(std::move(candidates[q]), topK);
+        r.status = ecc;
+
+        // Stage the ids into the device id buffer (slot q).
+        r.topkIdsAddr = idsAddr_ + q * topK * sizeof(uint32_t);
+        r.topkIdsCount = r.hits.size();
+        std::vector<uint32_t> ids;
+        for (const Hit &h : r.hits)
+            ids.push_back(static_cast<uint32_t>(h.id));
+        if (!ids.empty())
+            dev.l4().write(r.topkIdsAddr, ids.data(),
+                           ids.size() * sizeof(uint32_t));
+    }
+    return results;
 }
 
 RagRunResult
@@ -258,35 +408,15 @@ RagRetriever::retrieveGf16(const std::vector<int16_t> &query,
     RagRunResult res;
     res.dramBytes = static_cast<double>(chunks) *
         static_cast<double>(dim) * 2.0;
-    res.cacheBytes = 2.0 * res.dramBytes;
     res.stages.loadEmbedding = hbm.streamReadSeconds(
         0, static_cast<uint64_t>(res.dramBytes));
 
     // Dimension-major gf16 planes.
-    uint64_t emb_addr = 0;
-    if (fnl) {
-        cisram_assert(chunks <= (size_t(1) << 21),
-                      "functional corpus too large");
-        emb_addr =
-            dev.allocator().alloc(supertiles * dim * l * 2, 512);
-        std::vector<uint16_t> plane(l);
-        for (size_t st = 0; st < supertiles; ++st) {
-            for (size_t d = 0; d < dim; ++d) {
-                std::fill(plane.begin(), plane.end(), 0);
-                size_t valid = std::min(l, chunks - st * l);
-                for (size_t j = 0; j < valid; ++j) {
-                    int16_t v = baseline::embeddingValueFor(
-                        corpus_, corpus_.firstChunk + st * l + j, d,
-                        corpus_seed);
-                    plane[j] = GsiFloat16::fromFloat(
-                                   static_cast<float>(v))
-                                   .bits();
-                }
-                dev.l4().write(emb_addr + (st * dim + d) * l * 2,
-                               plane.data(), l * 2);
-            }
-        }
-    }
+    std::optional<StagedPlanes> planes;
+    if (fnl)
+        planes.emplace(dev, chunks, dim,
+                       corpusRows(corpus_, corpus_seed), nullptr,
+                       true);
 
     core.stats().reset();
     StageTimer timer(core);
@@ -297,19 +427,12 @@ RagRetriever::retrieveGf16(const std::vector<int16_t> &query,
     const Vr vrOrd{6}, vrS1{7}, vrS2{8};
     std::vector<Hit> candidates;
     double topk_cycles = 0.0;
-    for (size_t st = 0; st < (fnl ? supertiles : size_t(1)); ++st) {
-        double st_factor =
-            fnl ? 1.0 : static_cast<double>(supertiles);
-        ScopedRepeat strep(core.stats(), st_factor);
-
+    timedLoop(core, supertiles, [&](size_t st) {
         g.cpyImm16(vrAcc, 0); // gf16 +0.0
         timedLoop(core, dim, [&](size_t d) {
             core.chargeRaw(ingestCycles(t, true));
-            if (fnl) {
-                auto &slot = core.l1().slot(vmStage.idx);
-                dev.l4().read(emb_addr + (st * dim + d) * l * 2,
-                              slot.data(), l * 2);
-            }
+            if (planes)
+                planes->ingest(core, vmStage, st, d);
             g.load16(vrEmb, vmStage);
             g.macImmGf16(vrEmb, vrQ, vrT, vrAcc,
                          GsiFloat16::fromFloat(
@@ -334,22 +457,9 @@ RagRetriever::retrieveGf16(const std::vector<int16_t> &query,
         }
         core.chargeRaw(mergeCyclesPerVr);
         topk_cycles += core.stats().cycles() - before;
-    }
-    double calc_total = timer.lap();
-    res.stages.calcDistance =
-        dev.cyclesToSeconds(calc_total - topk_cycles);
-    res.stages.topkAggregation = dev.cyclesToSeconds(topk_cycles);
-    res.computeSeconds = res.stages.calcDistance;
-    core.chargeRaw(returnTopkCycles);
-    res.stages.returnTopk = dev.cyclesToSeconds(timer.lap());
-
-    if (fnl) {
-        res.hits = mergeHits(std::move(candidates), topK);
-        dev.allocator().free(emb_addr);
-    }
-    publishTopkIds(res, 0);
-    res.status = hbm.takeFaultStatus();
-    return res;
+    });
+    return finishPass(std::move(res), timer.lap(), topk_cycles, 0,
+                      {std::move(candidates)})[0];
 }
 
 std::vector<RagRunResult>
@@ -363,498 +473,228 @@ RagRetriever::retrieveBatch(
                   "query)");
     for (const auto &q : queries)
         cisram_assert(q.size() == corpus_.dim, "query dim mismatch");
-
-    if (opts.ivf != nullptr && opts.search.nprobe > 0)
-        return retrieveIvfBatch(queries, corpus_seed, opts);
+    cisram_assert(opts.search.nprobe == 0 || opts.ivf != nullptr,
+                  "RagBatchOptions::search.nprobe = ",
+                  opts.search.nprobe,
+                  " probes inverted lists, but RagBatchOptions::ivf "
+                  "holds no clustering");
 
     ApuCore &core = dev.core(coreIdx_);
     Gvml g(core);
     const auto &t = dev.timing();
     size_t l = dev.spec().vrLength;
     size_t dim = corpus_.dim;
-    size_t chunks = corpus_.numChunks;
-    size_t supertiles = divCeil(chunks, l);
     bool fnl = core.functional();
     uint16_t filter = opts.search.filterMask;
     bool filtered = filter != baseline::kFilterAll;
     bool mutated = corpus_.epochView != nullptr;
     if (mutated) {
-        cisram_assert(chunks == corpus_.epochView->baseChunks +
-                                    corpus_.epochView->inserted.size(),
+        cisram_assert(corpus_.numChunks ==
+                          corpus_.epochView->baseChunks +
+                              corpus_.epochView->inserted.size(),
                       "epoch view / spec chunk count mismatch");
     }
 
     // Accumulators live in VRs 8..15; working registers below.
-    auto acc = [](size_t q2) {
-        return Vr(8 + static_cast<unsigned>(q2));
+    auto acc = [](size_t q) {
+        return Vr(8 + static_cast<unsigned>(q));
     };
 
-    std::vector<RagRunResult> results(batch);
-    // The predicate bitmask plane (one u16 mark per chunk) streams
-    // alongside the corpus when a filter is armed: 1/dim of the
-    // embedding bytes — the "nearly free" part of filtered search.
-    // An epoch-overlaid corpus streams a tombstone plane of the same
-    // shape, so masking deletes costs the same near-nothing.
-    double shared_dram = static_cast<double>(chunks) *
-        (static_cast<double>(dim) + (filtered ? 1.0 : 0.0) +
-         (mutated ? 1.0 : 0.0)) * 2.0;
+    // The scan is a list of runs, each a list of rows staged as
+    // consecutive supertiles and scored by a subset of the batch.
+    // The exhaustive scan is one run over every local position; IVF
+    // runs one per probed inverted list, after its coarse pass.
+    struct Run
+    {
+        size_t rows;
+        const uint32_t *positions; ///< row -> position; null: identity
+        std::vector<size_t> lanes; ///< batch lanes scoring the run
 
-    // One pass over the corpus serves the whole batch.
-    dram::DramSystem &mem = hbm;
-    double load_emb = mem.streamReadSeconds(
-        0, static_cast<uint64_t>(shared_dram));
-
-    uint64_t emb_addr = 0, adm_addr = 0;
-    if (fnl) {
-        cisram_assert(chunks <= (size_t(1) << 21),
-                      "functional corpus too large");
-        emb_addr =
-            dev.allocator().alloc(supertiles * dim * l * 2, 512);
-        adm_addr = dev.allocator().alloc(supertiles * l * 2, 512);
-        std::vector<uint16_t> plane(l);
-        for (size_t st = 0; st < supertiles; ++st) {
-            size_t valid = std::min(l, chunks - st * l);
-            for (size_t d = 0; d < dim; ++d) {
-                std::fill(plane.begin(), plane.end(), 0);
-                for (size_t j = 0; j < valid; ++j)
-                    plane[j] = static_cast<uint16_t>(
-                        baseline::embeddingValueFor(
-                            corpus_, corpus_.globalChunk(st * l + j),
-                            d, corpus_seed));
-                dev.l4().write(emb_addr + (st * dim + d) * l * 2,
-                               plane.data(), l * 2);
-            }
-            // Admit marks: lane validity AND the metadata predicate
-            // AND epoch liveness (tombstoned chunks keep their staged
-            // position but never match). Padding lanes are knocked
-            // out here so a ragged tail can never outrank real
-            // (possibly negative) scores with its biased-zero dot
-            // products.
-            std::fill(plane.begin(), plane.end(), 0);
-            for (size_t j = 0; j < valid; ++j) {
-                uint64_t chunk = corpus_.globalChunk(st * l + j);
-                plane[j] =
-                    (corpus_.chunkLive(st * l + j) &&
-                     (!filtered ||
-                      baseline::passesFilter(
-                          filter,
-                          baseline::chunkLabel(chunk, corpus_seed))))
-                    ? 1
-                    : 0;
-            }
-            dev.l4().write(adm_addr + st * l * 2, plane.data(),
-                           l * 2);
+        uint64_t
+        position(size_t row) const
+        {
+            return positions ? positions[row] : row;
         }
+    };
+    std::vector<size_t> every_lane(batch);
+    std::iota(every_lane.begin(), every_lane.end(), size_t(0));
+    const baseline::IvfClustering *cl =
+        opts.search.nprobe > 0 ? opts.ivf : nullptr;
+    size_t K = 0, nprobe = 0;
+    std::vector<std::vector<uint32_t>> probes(batch);
+    std::vector<Run> runs;
+    if (!cl) {
+        runs.push_back({corpus_.numChunks, nullptr, every_lane});
+    } else {
+        K = cl->numLists();
+        nprobe = std::min(opts.search.nprobe, K);
+        cisram_assert(cl->dim() == dim, "clustering dim mismatch");
+        cisram_assert(!mutated, "IVF probing over an epoch-overlaid "
+                                "corpus is not supported");
+        cisram_assert(cl->numChunks() == corpus_.numChunks,
+                      "clustering built for a different corpus");
+        cisram_assert(K <= l, "centroid table exceeds one VR");
+        // CP-side probe selection mirror of the golden index. The
+        // device's coarse pass runs the same selection on the VXU; in
+        // functional mode the two are asserted identical, which is
+        // what makes the device-vs-golden bit-compare meaningful.
+        std::vector<std::vector<size_t>> by_list(K);
+        for (size_t q = 0; q < batch; ++q) {
+            probes[q] = cl->selectProbes(queries[q].data(), nprobe);
+            for (uint32_t list : probes[q])
+                by_list[list].push_back(q);
+        }
+        // Probed lists in ascending list order: each streams once per
+        // batch and only its probing queries score it. Positions stay
+        // ascending within a list, which keeps per-supertile tie
+        // extraction exact.
+        for (size_t list = 0; list < K; ++list)
+            if (!by_list[list].empty())
+                runs.push_back(
+                    {cl->listSize(list),
+                     cl->order().data() + cl->listOffsets()[list],
+                     std::move(by_list[list])});
     }
+    uint64_t rows = 0;
+    size_t supertiles = 0;
+    for (const Run &run : runs) {
+        rows += run.rows;
+        supertiles += divCeil(run.rows, l);
+    }
+
+    // Stream budget: the centroid table, then every scanned row's
+    // embedding. The predicate bitmask plane (one u16 mark per row)
+    // streams alongside when a filter is armed: 1/dim of the
+    // embedding bytes — the "nearly free" part of filtered search. An
+    // epoch-overlaid corpus streams a tombstone plane of the same
+    // shape, so masking deletes costs the same near-nothing. The
+    // exhaustive stream divided by a probing one is the scan
+    // reduction bench_ivf_recall reports.
+    RagRunResult pass;
+    pass.dramBytes =
+        (static_cast<double>(K) * dim +
+         static_cast<double>(rows) *
+             (static_cast<double>(dim) + (filtered ? 1.0 : 0.0) +
+              (mutated ? 1.0 : 0.0))) *
+        2.0;
+    pass.stages.loadEmbedding = hbm.streamReadSeconds(
+        0, static_cast<uint64_t>(pass.dramBytes));
 
     core.stats().reset();
     StageTimer timer(core);
 
     // Queries staged into the CP's L3 (broadcast-friendly layout).
     core.dmaL4ToL3(0, 0, batch * dim * 2);
-    double load_query = dev.cyclesToSeconds(timer.lap());
+    pass.stages.loadQuery = dev.cyclesToSeconds(timer.lap());
 
     // The bias constant prepares the score transform, not the query
     // transfer: it charges to calc-distance (the next lap), keeping
     // load-query a pure measure of staging the query vectors.
     g.cpyImm16(vrBias, 0x8000);
 
-    std::vector<std::vector<Hit>> candidates(batch);
+    // One run through the per-supertile body: zero the scoring
+    // lanes' accumulators, ingest each of dim planes into a
+    // broadcast MAC, ingest the admit plane, then bias, mask and
+    // extract k winners per lane (ids mapped to the run's positions)
+    // before `merges` CP merges. The run's planes are staged for the
+    // scan and freed after it.
     double topk_cycles = 0.0;
-    for (size_t st = 0; st < (fnl ? supertiles : size_t(1)); ++st) {
-        double st_factor =
-            fnl ? 1.0 : static_cast<double>(supertiles);
-        ScopedRepeat strep(core.stats(), st_factor);
-
-        for (size_t q2 = 0; q2 < batch; ++q2)
-            g.cpyImm16(acc(q2), 0);
-        std::vector<Vr> accs;
-        accs.reserve(batch);
-        for (size_t q2 = 0; q2 < batch; ++q2)
-            accs.push_back(acc(q2));
-        timedLoop(core, dim, [&](size_t d) {
-            core.chargeRaw(ingestCycles(t, true));
-            if (fnl) {
-                auto &slot = core.l1().slot(vmStage.idx);
-                dev.l4().read(emb_addr + (st * dim + d) * l * 2,
-                              slot.data(), l * 2);
-            }
-            g.load16(vrEmb, vmStage);
-            uint16_t imms[8];
-            for (size_t q2 = 0; q2 < batch; ++q2)
-                imms[q2] =
-                    static_cast<uint16_t>(queries[q2][d]);
-            g.macImmS16(vrEmb, vrQ, vrT, accs.data(), imms,
-                        batch);
-        });
-
-        // AND the admit plane (validity + metadata predicate) into
-        // the match mask: one negated-mask select per score VR
-        // writes the masked-out sentinel (biased 0x0000, a dot of
-        // -32768 no int16 embedding can produce) into excluded
-        // lanes, which extractTopK already skips.
-        core.chargeRaw(ingestCycles(t, true));
-        if (fnl) {
-            auto &slot = core.l1().slot(vmAdmit.idx);
-            dev.l4().read(adm_addr + st * l * 2, slot.data(),
-                          l * 2);
-        }
-        g.load16(vrAdmit, vmAdmit);
-
-        double before = core.stats().cycles();
-        size_t valid = fnl ? std::min(l, chunks - st * l) : l;
-        for (size_t q2 = 0; q2 < batch; ++q2) {
-            g.xor16(acc(q2), acc(q2), vrBias);
-            g.cpyImm16Nmsk(acc(q2), 0x0000, vrAdmit);
-            auto part = extractTopK(g, core, acc(q2), topK, valid);
-            for (auto &h : part)
-                h.id += st * l;
-            candidates[q2].insert(candidates[q2].end(),
-                                  part.begin(), part.end());
-        }
-        topk_cycles += core.stats().cycles() - before;
-    }
-    double calc_total = timer.lap();
-    core.chargeRaw(returnTopkCycles * static_cast<double>(batch));
-    double return_total = dev.cyclesToSeconds(timer.lap());
-    double calc_s = dev.cyclesToSeconds(calc_total - topk_cycles);
-
-    // Overlapped corpus streaming: with both DMA engines active, the
-    // HBM stream for supertile st+1 lands in the spare L4 buffer
-    // while the VXU scores supertile st. The stage latencies keep
-    // their full (sequential) attribution; only overlapHidden — the
-    // portion of the stream the pipeline hides, provably bounded by
-    // both loadEmbedding and calcDistance (see overlapHiddenSeconds)
-    // — feeds back into total().
-    double overlap_hidden = 0.0;
-    if (opts.overlapStream)
-        overlap_hidden = overlapHiddenSeconds(dev, t, load_emb,
-                                              calc_s, supertiles);
-
-    double b = static_cast<double>(batch);
-    for (size_t q2 = 0; q2 < batch; ++q2) {
-        auto &r = results[q2];
-        r.stages.loadEmbedding = load_emb / b;
-        r.stages.loadQuery = load_query / b;
-        r.stages.calcDistance = calc_s / b;
-        r.stages.topkAggregation =
-            dev.cyclesToSeconds(topk_cycles) / b;
-        r.stages.returnTopk = return_total / b;
-        r.stages.overlapHidden = overlap_hidden / b;
-        r.computeSeconds = r.stages.calcDistance;
-        r.dramBytes = shared_dram / b;
-        r.cacheBytes = 2.0 * shared_dram / b;
+    auto scan = [&](const Run &run, const StagedPlanes::RowFn &row,
+                    const StagedPlanes::AdmitFn &admit, size_t k,
+                    size_t merges,
+                    std::vector<std::vector<Hit>> &winners) {
+        if (run.rows == 0) // an empty probed list
+            return;
+        std::optional<StagedPlanes> planes;
         if (fnl)
-            r.hits = mergeHits(std::move(candidates[q2]), topK);
-        publishTopkIds(r, q2);
-    }
-    if (fnl) {
-        dev.allocator().free(emb_addr);
-        dev.allocator().free(adm_addr);
-    }
-    // One corpus pass serves the whole batch, so an uncorrectable
-    // ECC error taints every result in it.
-    Status ecc = hbm.takeFaultStatus();
-    if (!ecc.ok())
-        for (auto &r : results)
-            r.status = ecc;
-    return results;
-}
-
-std::vector<RagRunResult>
-RagRetriever::retrieveIvfBatch(
-    const std::vector<std::vector<int16_t>> &queries,
-    uint64_t corpus_seed, const RagBatchOptions &opts)
-{
-    const baseline::IvfClustering &cl = *opts.ivf;
-    size_t batch = queries.size();
-    ApuCore &core = dev.core(coreIdx_);
-    Gvml g(core);
-    const auto &t = dev.timing();
-    size_t l = dev.spec().vrLength;
-    size_t dim = corpus_.dim;
-    size_t K = cl.numLists();
-    size_t nprobe = std::min(opts.search.nprobe, K);
-    uint16_t filter = opts.search.filterMask;
-    bool filtered = filter != baseline::kFilterAll;
-    bool fnl = core.functional();
-
-    cisram_assert(cl.dim() == dim, "clustering dim mismatch");
-    cisram_assert(corpus_.epochView == nullptr,
-                  "IVF probing over an epoch-overlaid corpus is not "
-                  "supported");
-    cisram_assert(cl.numChunks() == corpus_.numChunks,
-                  "clustering built for a different corpus");
-    cisram_assert(K <= l, "centroid table exceeds one VR");
-
-    auto acc = [](size_t q2) {
-        return Vr(8 + static_cast<unsigned>(q2));
-    };
-
-    // CP-side probe selection mirror of the golden index. The
-    // device's coarse pass below runs the same selection on the VXU;
-    // in functional mode the two are asserted identical, which is
-    // what makes the device-vs-golden bit-compare meaningful.
-    std::vector<std::vector<uint32_t>> probes(batch);
-    for (size_t q2 = 0; q2 < batch; ++q2)
-        probes[q2] = cl.selectProbes(queries[q2].data(), nprobe);
-
-    // Union of probed lists in ascending list order; each list
-    // streams once per batch and only its probing queries extract.
-    std::vector<std::vector<size_t>> byList(K);
-    for (size_t q2 = 0; q2 < batch; ++q2)
-        for (uint32_t list : probes[q2])
-            byList[list].push_back(q2);
-    std::vector<uint32_t> lists;
-    for (uint32_t j = 0; j < K; ++j)
-        if (!byList[j].empty())
-            lists.push_back(j);
-
-    const auto &offsets = cl.listOffsets();
-    const auto &order = cl.order();
-    uint64_t probed_chunks = 0;
-    size_t total_supertiles = 0;
-    for (uint32_t list : lists) {
-        probed_chunks += cl.listSize(list);
-        total_supertiles += divCeil(cl.listSize(list), l);
-    }
-
-    std::vector<RagRunResult> results(batch);
-    // Stream budget: centroid table + the probed lists' embeddings,
-    // plus their predicate planes when a filter is armed. The
-    // exhaustive pass streams chunks*dim*2; the ratio is the scan
-    // reduction bench_ivf_recall reports.
-    double shared_dram =
-        (static_cast<double>(K) * dim +
-         static_cast<double>(probed_chunks) *
-             (static_cast<double>(dim) + (filtered ? 1.0 : 0.0))) *
-        2.0;
-    double load_emb = hbm.streamReadSeconds(
-        0, static_cast<uint64_t>(shared_dram));
-
-    // Functional staging: centroid planes (+ a lane-validity plane
-    // for the coarse pass), then each probed list's ragged supertile
-    // planes with admit marks. Chunk j of supertile st of a list is
-    // order[offsets[list] + st*l + j] — ascending within the list,
-    // which keeps per-supertile tie extraction exact.
-    uint64_t cent_addr = 0, cval_addr = 0, emb_addr = 0,
-             adm_addr = 0;
-    if (fnl) {
-        cisram_assert(corpus_.numChunks <= (size_t(1) << 21),
-                      "functional corpus too large");
-        cent_addr = dev.allocator().alloc(dim * l * 2, 512);
-        cval_addr = dev.allocator().alloc(l * 2, 512);
-        std::vector<uint16_t> plane(l);
-        const auto &cents = cl.centroids();
-        for (size_t d = 0; d < dim; ++d) {
-            std::fill(plane.begin(), plane.end(), 0);
-            for (size_t j = 0; j < K; ++j)
-                plane[j] = static_cast<uint16_t>(cents[j * dim + d]);
-            dev.l4().write(cent_addr + d * l * 2, plane.data(),
-                           l * 2);
-        }
-        std::fill(plane.begin(), plane.end(), 0);
-        for (size_t j = 0; j < K; ++j)
-            plane[j] = 1;
-        dev.l4().write(cval_addr, plane.data(), l * 2);
-
-        size_t st_alloc = std::max<size_t>(1, total_supertiles);
-        emb_addr =
-            dev.allocator().alloc(st_alloc * dim * l * 2, 512);
-        adm_addr = dev.allocator().alloc(st_alloc * l * 2, 512);
-        size_t gst = 0;
-        std::vector<int16_t> rows;
-        for (uint32_t list : lists) {
-            size_t lsz = cl.listSize(list);
-            for (size_t st = 0; st < divCeil(lsz, l); ++st, ++gst) {
-                size_t valid = std::min(l, lsz - st * l);
-                rows.resize(valid * dim);
-                for (size_t j = 0; j < valid; ++j)
-                    baseline::genEmbeddingRow(
-                        corpus_,
-                        corpus_.firstChunk +
-                            order[offsets[list] + st * l + j],
-                        corpus_seed, rows.data() + j * dim);
-                for (size_t d = 0; d < dim; ++d) {
-                    std::fill(plane.begin(), plane.end(), 0);
-                    for (size_t j = 0; j < valid; ++j)
-                        plane[j] = static_cast<uint16_t>(
-                            rows[j * dim + d]);
-                    dev.l4().write(
-                        emb_addr + (gst * dim + d) * l * 2,
-                        plane.data(), l * 2);
-                }
-                std::fill(plane.begin(), plane.end(), 0);
-                for (size_t j = 0; j < valid; ++j) {
-                    uint64_t chunk = corpus_.firstChunk +
-                        order[offsets[list] + st * l + j];
-                    plane[j] =
-                        (!filtered ||
-                         baseline::passesFilter(
-                             filter, baseline::chunkLabel(
-                                         chunk, corpus_seed)))
-                        ? 1
-                        : 0;
-                }
-                dev.l4().write(adm_addr + gst * l * 2,
-                               plane.data(), l * 2);
-            }
-        }
-    }
-
-    core.stats().reset();
-    StageTimer timer(core);
-
-    core.dmaL4ToL3(0, 0, batch * dim * 2);
-    double load_query = dev.cyclesToSeconds(timer.lap());
-
-    g.cpyImm16(vrBias, 0x8000);
-
-    std::vector<Vr> accsAll;
-    accsAll.reserve(batch);
-    for (size_t q2 = 0; q2 < batch; ++q2)
-        accsAll.push_back(acc(q2));
-    std::vector<std::vector<Hit>> candidates(batch);
-    double topk_cycles = 0.0;
-
-    // ---- coarse centroid pass --------------------------------------
-    // The centroid table (K x dim int16, ~46 KiB at K = 64) stages
-    // through L3/L4 and streams as dim K-wide planes: one mini
-    // supertile scoring lists instead of chunks, reusing the exact
-    // MAC/bias/extract machinery of the main loop.
-    for (size_t q2 = 0; q2 < batch; ++q2)
-        g.cpyImm16(acc(q2), 0);
-    timedLoop(core, dim, [&](size_t d) {
-        core.chargeRaw(ingestCycles(t, true));
-        if (fnl) {
-            auto &slot = core.l1().slot(vmStage.idx);
-            dev.l4().read(cent_addr + d * l * 2, slot.data(),
-                          l * 2);
-        }
-        g.load16(vrEmb, vmStage);
-        uint16_t imms[8];
-        for (size_t q2 = 0; q2 < batch; ++q2)
-            imms[q2] = static_cast<uint16_t>(queries[q2][d]);
-        g.macImmS16(vrEmb, vrQ, vrT, accsAll.data(), imms, batch);
-    });
-    core.chargeRaw(ingestCycles(t, true));
-    if (fnl) {
-        auto &slot = core.l1().slot(vmAdmit.idx);
-        dev.l4().read(cval_addr, slot.data(), l * 2);
-    }
-    g.load16(vrAdmit, vmAdmit);
-    {
-        double before = core.stats().cycles();
-        for (size_t q2 = 0; q2 < batch; ++q2) {
-            g.xor16(acc(q2), acc(q2), vrBias);
-            g.cpyImm16Nmsk(acc(q2), 0x0000, vrAdmit);
-            std::vector<uint32_t> dev_probes;
-            for (size_t p = 0; p < nprobe; ++p) {
-                auto mx = g.maxIndexU16(acc(q2));
-                core.rspSet(acc(q2).idx, fnl ? mx.index : 0, 0);
-                if (fnl && mx.index < K && mx.value != 0)
-                    dev_probes.push_back(
-                        static_cast<uint32_t>(mx.index));
-            }
-            if (fnl)
-                cisram_assert(
-                    dev_probes == probes[q2],
-                    "device coarse pass diverged from golden "
-                    "probe selection");
-        }
-        core.chargeRaw(mergeCyclesPerVr);
-        topk_cycles += core.stats().cycles() - before;
-    }
-
-    // ---- probe-restricted streaming --------------------------------
-    size_t gst = 0;
-    for (uint32_t list : lists) {
-        const auto &qset = byList[list];
-        size_t lsz = cl.listSize(list);
+            planes.emplace(dev, run.rows, dim, row, admit);
         std::vector<Vr> accs;
-        accs.reserve(qset.size());
-        for (size_t q2 : qset)
-            accs.push_back(acc(q2));
-        for (size_t st = 0; st < divCeil(lsz, l); ++st, ++gst) {
-            for (size_t q2 : qset)
-                g.cpyImm16(acc(q2), 0);
+        for (size_t q : run.lanes)
+            accs.push_back(acc(q));
+        timedLoop(core, divCeil(run.rows, l), [&](size_t st) {
+            for (Vr a : accs)
+                g.cpyImm16(a, 0);
             timedLoop(core, dim, [&](size_t d) {
                 core.chargeRaw(ingestCycles(t, true));
-                if (fnl) {
-                    auto &slot = core.l1().slot(vmStage.idx);
-                    dev.l4().read(
-                        emb_addr + (gst * dim + d) * l * 2,
-                        slot.data(), l * 2);
-                }
+                if (planes)
+                    planes->ingest(core, vmStage, st, d);
                 g.load16(vrEmb, vmStage);
                 uint16_t imms[8];
-                for (size_t i = 0; i < qset.size(); ++i)
+                for (size_t i = 0; i < run.lanes.size(); ++i)
                     imms[i] = static_cast<uint16_t>(
-                        queries[qset[i]][d]);
+                        queries[run.lanes[i]][d]);
                 g.macImmS16(vrEmb, vrQ, vrT, accs.data(), imms,
-                            qset.size());
+                            run.lanes.size());
             });
+
+            // AND the admit plane into the match mask: one
+            // negated-mask select per score VR writes the masked-out
+            // sentinel (biased 0x0000, a dot of -32768 no int16
+            // embedding can produce) into excluded lanes, which
+            // extractTopK already skips.
             core.chargeRaw(ingestCycles(t, true));
-            if (fnl) {
-                auto &slot = core.l1().slot(vmAdmit.idx);
-                dev.l4().read(adm_addr + gst * l * 2, slot.data(),
-                              l * 2);
-            }
+            if (planes)
+                planes->ingest(core, vmAdmit, st, dim);
             g.load16(vrAdmit, vmAdmit);
 
             double before = core.stats().cycles();
-            size_t valid = fnl ? std::min(l, lsz - st * l) : l;
-            for (size_t q2 : qset) {
-                g.xor16(acc(q2), acc(q2), vrBias);
-                g.cpyImm16Nmsk(acc(q2), 0x0000, vrAdmit);
-                auto part =
-                    extractTopK(g, core, acc(q2), topK, valid);
-                for (auto &h : part)
-                    h.id = order[offsets[list] + st * l + h.id];
-                candidates[q2].insert(candidates[q2].end(),
-                                      part.begin(), part.end());
+            size_t valid = fnl ? std::min(l, run.rows - st * l) : l;
+            for (size_t q : run.lanes) {
+                g.xor16(acc(q), acc(q), vrBias);
+                g.cpyImm16Nmsk(acc(q), 0x0000, vrAdmit);
+                for (Hit h : extractTopK(g, core, acc(q), k, valid)) {
+                    h.id = run.position(st * l + h.id);
+                    winners[q].push_back(h);
+                }
             }
+            for (size_t m = 0; m < merges; ++m)
+                core.chargeRaw(mergeCyclesPerVr);
             topk_cycles += core.stats().cycles() - before;
+        });
+    };
+
+    if (cl) {
+        // Coarse pass: the centroid table (K x dim int16, ~46 KiB at
+        // K = 64) runs as one supertile scoring lists instead of
+        // chunks. Each query's nprobe winners are its probed lists,
+        // and the CP merges the batch's selections once.
+        const int16_t *cents = cl->centroids().data();
+        std::vector<std::vector<Hit>> picked(batch);
+        scan({K, nullptr, every_lane},
+             [&](size_t i, int16_t *out) {
+                 std::copy_n(cents + i * dim, dim, out);
+             },
+             [](size_t) { return true; }, nprobe, 1, picked);
+        for (size_t q = 0; fnl && q < batch; ++q) {
+            std::vector<uint32_t> dev_probes;
+            for (const Hit &h : picked[q])
+                dev_probes.push_back(static_cast<uint32_t>(h.id));
+            cisram_assert(dev_probes == probes[q],
+                          "device coarse pass diverged from golden "
+                          "probe selection");
         }
     }
-    double calc_total = timer.lap();
-    core.chargeRaw(returnTopkCycles * static_cast<double>(batch));
-    double return_total = dev.cyclesToSeconds(timer.lap());
-    double calc_s = dev.cyclesToSeconds(calc_total - topk_cycles);
 
-    double overlap_hidden = 0.0;
-    if (opts.overlapStream)
-        overlap_hidden = overlapHiddenSeconds(
-            dev, t, load_emb, calc_s, total_supertiles);
-
-    double b = static_cast<double>(batch);
-    for (size_t q2 = 0; q2 < batch; ++q2) {
-        auto &r = results[q2];
-        r.stages.loadEmbedding = load_emb / b;
-        r.stages.loadQuery = load_query / b;
-        r.stages.calcDistance = calc_s / b;
-        r.stages.topkAggregation =
-            dev.cyclesToSeconds(topk_cycles) / b;
-        r.stages.returnTopk = return_total / b;
-        r.stages.overlapHidden = overlap_hidden / b;
-        r.computeSeconds = r.stages.calcDistance;
-        r.dramBytes = shared_dram / b;
-        r.cacheBytes = 2.0 * shared_dram / b;
-        if (fnl)
-            r.hits = mergeHits(std::move(candidates[q2]), topK);
-        publishTopkIds(r, q2);
+    std::vector<std::vector<Hit>> candidates(batch);
+    for (const Run &run : runs) {
+        // Admit marks: row validity AND epoch liveness (tombstoned
+        // chunks keep their staged position but never match) AND the
+        // metadata predicate.
+        scan(run, corpusRows(corpus_, corpus_seed, run.positions),
+             [&](size_t i) {
+                 uint64_t p = run.position(i);
+                 return corpus_.chunkLive(p) &&
+                     (!filtered ||
+                      baseline::passesFilter(
+                          filter, baseline::chunkLabel(
+                                      corpus_.globalChunk(p),
+                                      corpus_seed)));
+             },
+             topK, run.lanes.size(), candidates);
     }
-    if (fnl) {
-        dev.allocator().free(cent_addr);
-        dev.allocator().free(cval_addr);
-        dev.allocator().free(emb_addr);
-        dev.allocator().free(adm_addr);
-    }
-    Status ecc = hbm.takeFaultStatus();
-    if (!ecc.ok())
-        for (auto &r : results)
-            r.status = ecc;
-    return results;
+    return finishPass(std::move(pass), timer.lap(), topk_cycles,
+                      opts.overlapStream ? supertiles : 0,
+                      std::move(candidates));
 }
 
 RagRunResult
@@ -876,7 +716,6 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
     RagRunResult res;
     res.dramBytes =
         static_cast<double>(chunks) * static_cast<double>(pad) * 2.0;
-    res.cacheBytes = 2.0 * res.dramBytes;
 
     // Off-chip embedding stream, timed by the HBM simulator.
     res.stages.loadEmbedding = hbm.streamReadSeconds(
@@ -890,19 +729,12 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
                       "functional corpus too large");
         emb_addr = dev.allocator().alloc(
             divCeil(chunks, cpt) * l * 2, 512);
-        std::vector<uint16_t> tile(l);
+        auto row = corpusRows(corpus_, corpus_seed);
+        std::vector<int16_t> tile(l);
         for (size_t tl = 0; tl < divCeil(chunks, cpt); ++tl) {
             std::fill(tile.begin(), tile.end(), 0);
-            for (size_t c = 0; c < cpt; ++c) {
-                size_t chunk = tl * cpt + c;
-                if (chunk >= chunks)
-                    break;
-                for (size_t d = 0; d < corpus_.dim; ++d)
-                    tile[c * pad + d] = static_cast<uint16_t>(
-                        baseline::embeddingValueFor(
-                            corpus_, corpus_.firstChunk + chunk, d,
-                            corpus_seed));
-            }
+            for (size_t c = 0; c < cpt && tl * cpt + c < chunks; ++c)
+                row(tl * cpt + c, tile.data() + c * pad);
             dev.l4().write(emb_addr + tl * l * 2, tile.data(),
                            l * 2);
         }
@@ -943,6 +775,7 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
             return;
         double before = core.stats().cycles();
         auto part = extractTopK(g, core, vrScore, topK, score_fill);
+        core.chargeRaw(mergeCyclesPerVr);
         for (auto &h : part)
             h.id += score_base;
         candidates.insert(candidates.end(), part.begin(),
@@ -1000,28 +833,18 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
             apu::ScopedRepeat rep(core.stats(),
                                   static_cast<double>(score_vrs));
             extractTopK(g, core, vrScore, topK, l);
+            core.chargeRaw(mergeCyclesPerVr);
         }
         topk_cycles += core.stats().cycles() - before;
     }
 
     double calc_total = timer.lap();
-    res.stages.calcDistance =
-        dev.cyclesToSeconds(calc_total - topk_cycles);
-    res.stages.topkAggregation = dev.cyclesToSeconds(topk_cycles);
-    res.computeSeconds = res.stages.calcDistance;
-
-    // ---- return -------------------------------------------------------
-    core.chargeRaw(returnTopkCycles);
-    res.stages.returnTopk = dev.cyclesToSeconds(timer.lap());
-
     if (fnl) {
-        res.hits = mergeHits(std::move(candidates), topK);
         dev.allocator().free(emb_addr);
         dev.allocator().free(q_addr);
     }
-    publishTopkIds(res, 0);
-    res.status = hbm.takeFaultStatus();
-    return res;
+    return finishPass(std::move(res), calc_total, topk_cycles, 0,
+                      {std::move(candidates)})[0];
 }
 
 RagRunResult
@@ -1040,32 +863,16 @@ RagRetriever::retrieveTemporal(const std::vector<int16_t> &query,
     RagRunResult res;
     res.dramBytes = static_cast<double>(chunks) *
         static_cast<double>(dim) * 2.0;
-    res.cacheBytes = 2.0 * res.dramBytes;
     res.stages.loadEmbedding = hbm.streamReadSeconds(
         0, static_cast<uint64_t>(res.dramBytes));
 
     // Functional staging: dimension-major planes per super-tile.
-    uint64_t emb_addr = 0, q_addr = 0;
+    std::optional<StagedPlanes> planes;
+    uint64_t q_addr = 0;
     bool fnl = core.functional();
     if (fnl) {
-        cisram_assert(chunks <= (size_t(1) << 21),
-                      "functional corpus too large");
-        emb_addr =
-            dev.allocator().alloc(supertiles * dim * l * 2, 512);
-        std::vector<uint16_t> plane(l);
-        for (size_t st = 0; st < supertiles; ++st) {
-            for (size_t d = 0; d < dim; ++d) {
-                std::fill(plane.begin(), plane.end(), 0);
-                size_t valid = std::min(l, chunks - st * l);
-                for (size_t j = 0; j < valid; ++j)
-                    plane[j] = static_cast<uint16_t>(
-                        baseline::embeddingValueFor(
-                            corpus_, corpus_.firstChunk + st * l + j,
-                            d, corpus_seed));
-                dev.l4().write(emb_addr + (st * dim + d) * l * 2,
-                               plane.data(), l * 2);
-            }
-        }
+        planes.emplace(dev, chunks, dim,
+                       corpusRows(corpus_, corpus_seed), nullptr);
         q_addr = dev.allocator().alloc(l * 2, 512);
         std::vector<uint16_t> qv(l, 0);
         for (size_t d = 0; d < dim; ++d)
@@ -1092,19 +899,12 @@ RagRetriever::retrieveTemporal(const std::vector<int16_t> &query,
     // ---- distance calculation ----------------------------------------
     std::vector<Hit> candidates;
     double topk_cycles = 0.0;
-    for (size_t st = 0; st < (fnl ? supertiles : size_t(1)); ++st) {
-        double st_factor =
-            fnl ? 1.0 : static_cast<double>(supertiles);
-        ScopedRepeat strep(core.stats(), st_factor);
-
+    timedLoop(core, supertiles, [&](size_t st) {
         g.cpyImm16(vrAcc, 0);
         timedLoop(core, dim, [&](size_t d) {
             core.chargeRaw(ingestCycles(t, coalesce));
-            if (fnl) {
-                auto &slot = core.l1().slot(vmStage.idx);
-                dev.l4().read(emb_addr + (st * dim + d) * l * 2,
-                              slot.data(), l * 2);
-            }
+            if (planes)
+                planes->ingest(core, vmStage, st, d);
             g.load16(vrEmb, vmStage);
             if (bf_query) {
                 uint16_t imm = static_cast<uint16_t>(query[d]);
@@ -1122,30 +922,18 @@ RagRetriever::retrieveTemporal(const std::vector<int16_t> &query,
         double before = core.stats().cycles();
         size_t valid = fnl ? std::min(l, chunks - st * l) : l;
         auto part = extractTopK(g, core, vrAcc, topK, valid);
+        core.chargeRaw(mergeCyclesPerVr);
         for (auto &h : part)
             h.id += st * l;
         candidates.insert(candidates.end(), part.begin(),
                           part.end());
         topk_cycles += core.stats().cycles() - before;
-    }
+    });
     double calc_total = timer.lap();
-    res.stages.calcDistance =
-        dev.cyclesToSeconds(calc_total - topk_cycles);
-    res.stages.topkAggregation = dev.cyclesToSeconds(topk_cycles);
-    res.computeSeconds = res.stages.calcDistance;
-
-    // ---- return -------------------------------------------------------
-    core.chargeRaw(returnTopkCycles);
-    res.stages.returnTopk = dev.cyclesToSeconds(timer.lap());
-
-    if (fnl) {
-        res.hits = mergeHits(std::move(candidates), topK);
-        dev.allocator().free(emb_addr);
+    if (fnl)
         dev.allocator().free(q_addr);
-    }
-    publishTopkIds(res, 0);
-    res.status = hbm.takeFaultStatus();
-    return res;
+    return finishPass(std::move(res), calc_total, topk_cycles, 0,
+                      {std::move(candidates)})[0];
 }
 
 } // namespace cisram::kernels

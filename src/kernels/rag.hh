@@ -105,11 +105,11 @@ struct RagBatchOptions
     RagSearchParams search;
 
     /**
-     * Coarse quantizer backing search.nprobe > 0. Host-built once
-     * per corpus (baseline::IvfClustering::build) and resident
-     * across batches; its centroid table stages into L3/L4 for the
-     * device's coarse pass. Null forces the exhaustive path
-     * regardless of nprobe.
+     * Coarse quantizer backing search.nprobe > 0, which requires
+     * one. Host-built once per corpus
+     * (baseline::IvfClustering::build) and resident across batches;
+     * its centroid table stages into L3/L4 for the device's coarse
+     * pass.
      */
     const baseline::IvfClustering *ivf = nullptr;
 };
@@ -210,7 +210,9 @@ class RagRetriever
      * queries in one pass over the corpus, amortizing the embedding
      * stream and the per-plane ingest across the batch. Uses the
      * fully optimized (AllOpts) mapping; one accumulator VR per
-     * query.
+     * query. With opts.search.nprobe > 0, a coarse pass over
+     * opts.ivf's centroids picks each query's lists and only the
+     * probed lists stream.
      *
      * @return Per-query results; each carries the whole batch's
      *         stage latencies divided evenly (throughput view).
@@ -243,18 +245,14 @@ class RagRetriever
                                   uint64_t corpus_seed);
 
     /**
-     * Probe-restricted batch: coarse centroid pass on-device, then
-     * stream only the probed inverted lists (each list as its own
-     * ragged supertile run). Called by retrieveBatch when opts
-     * carry a clustering and nprobe > 0.
+     * Shared tail of every retrieval: charge the return, split
+     * `pass`'s ledger evenly over the lanes (one per candidates
+     * entry), and merge and stage each lane's hits.
      */
     std::vector<RagRunResult>
-    retrieveIvfBatch(const std::vector<std::vector<int16_t>> &queries,
-                     uint64_t corpus_seed,
-                     const RagBatchOptions &opts);
-
-    /** Stage res.hits' ids into the device id buffer (slot 0..7). */
-    void publishTopkIds(RagRunResult &res, size_t slot);
+    finishPass(RagRunResult pass, double calc_cycles,
+               double topk_cycles, size_t overlap_supertiles,
+               std::vector<std::vector<baseline::Hit>> candidates);
 
     apu::ApuDevice &dev;
     dram::DramSystem &hbm;

@@ -180,7 +180,7 @@ DeviceServer::DeviceServer(apu::ApuDevice &dev, RagCorpusSpec spec,
     if (cfg_.ivf.enabled) {
         // Host state: trained once per shard, survives core resets
         // (only the device-side centroid staging is re-paid, inside
-        // retrieveIvfBatch).
+        // each probing retrieveBatch).
         clustering_ = std::make_unique<baseline::IvfClustering>(
             baseline::IvfClustering::build(spec_, corpusSeed_,
                                            cfg_.ivf.build));

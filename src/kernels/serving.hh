@@ -528,8 +528,8 @@ class DeviceServer
      * incremental re-staging (inserted rows + refreshed tombstone
      * plane) is charged over PCIe. Queries admitted afterwards
      * observe exactly the new epoch. Not supported with IVF serving
-     * (the clustering would need a rebuild; retrieveIvfBatch asserts
-     * it never sees an overlay).
+     * (the clustering would need a rebuild; a probing retrieveBatch
+     * asserts it never sees an overlay).
      */
     std::vector<ServeOutcome>
     applyMutation(const baseline::RagCorpusSpec &epoch_spec,

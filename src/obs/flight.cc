@@ -299,6 +299,7 @@ FlightRecorder::complete(uint64_t id, const FlightCompletion &done)
                   " without a live round");
     qf.state = FlightState::Completed;
     qf.delivered = true;
+    qf.ok = done.ok;
     qf.fromDevice = done.fromDevice;
     qf.attempts = done.attempts;
     qf.batchSize = done.batchSize;
@@ -416,6 +417,8 @@ FlightRecorder::ledgerJson() const
             q["served_seconds"] = qf.servedSeconds;
             q["reconciled_seconds"] = qf.reconciledSeconds();
             q["exact"] = qf.reconciledSeconds() == qf.servedSeconds;
+            if (!qf.ok)
+                q["ok"] = false;
             q["from_device"] = qf.fromDevice;
             q["attempts"] = qf.attempts;
             q["batch"] = static_cast<uint64_t>(qf.batchSize);

@@ -136,6 +136,7 @@ struct QueryFlight
 
     // Filled at completion.
     bool delivered = false;
+    bool ok = true; ///< false: delivered as a failed outcome
     bool fromDevice = false;
     unsigned attempts = 0;
     size_t batchSize = 0;
@@ -176,6 +177,7 @@ struct FlightCompletion
     unsigned attempts = 0;
     size_t batchSize = 0;
     double servedSeconds = 0;
+    bool ok = true;
 };
 
 /**

@@ -709,3 +709,70 @@ TEST(Router, ScatterMergeAndClassMetricsCarryTenantLabels)
     EXPECT_EQ(served.count() - served_before, 1u);
     EXPECT_EQ(unlabeled.count() - unlabeled_before, 1u);
 }
+
+// ---- unroutable shards in the flight recorder ---------------------------
+
+TEST(Router, UnroutableShardCompletesItsFlightExactlyOnce)
+{
+    // Depth-1 replica queues and a long linger keep the first
+    // admission queued, so the next two shed at every replica of
+    // their shard (R = 1: there is no other) — the shard is
+    // unroutable and each query fails loudly.
+    FleetConfig cfg;
+    cfg.devices = 2;
+    cfg.replicas = 1;
+    cfg.shards = 2;
+    cfg.server.admission.maxQueueDepth = 1;
+    cfg.server.batch.maxLingerAdmissions = 100;
+    cfg.flight.mode = obs::FlightConfig::Mode::On;
+    baseline::RagCorpusSpec corpus{"unroutable", 0, 4096, 368};
+    Router router(corpus, 4242, cfg);
+    for (uint64_t q = 1; q <= 3; ++q)
+        (void)router.admit(q, baseline::genQuery(corpus.dim, q), 0.0);
+
+    auto outs = router.drain();
+    ASSERT_EQ(outs.size(), 3u);
+    std::set<uint64_t> ids;
+    size_t failed = 0;
+    for (const FleetOutcome &o : outs) {
+        EXPECT_TRUE(ids.insert(o.id).second) << "query #" << o.id;
+        failed += o.ok ? 0 : 1;
+    }
+    EXPECT_EQ(failed, 2u);
+    EXPECT_EQ(router.ledgerOutstanding(), 0u);
+
+    // Every router flight completes once and reconciles; a failed
+    // one is marked not ok and its spans name the unroutable shard.
+    const obs::FlightRecorder &fr = router.flightRecorder();
+    EXPECT_EQ(fr.completedCount(), 3u);
+    EXPECT_EQ(fr.reconciledCount(), 3u);
+    for (const FleetOutcome &o : outs) {
+        const obs::QueryFlight *qf = fr.flight(o.id);
+        ASSERT_NE(qf, nullptr);
+        EXPECT_EQ(qf->state, obs::FlightState::Completed);
+        EXPECT_EQ(qf->ok, o.ok) << "query #" << o.id;
+        size_t unroutable = 0;
+        for (const obs::Span &sp : qf->finalRound()->spans)
+            unroutable +=
+                sp.detail.find("unroutable") != std::string::npos;
+        EXPECT_EQ(unroutable > 0, !o.ok) << "query #" << o.id;
+    }
+}
+
+TEST(RouterDeathTest, MutationWithIvfServingDiesBeforeDraining)
+{
+    // The rejection names the fleet field and fires on entry, before
+    // the epoch barrier's drain serves the queued query.
+    FleetConfig cfg;
+    cfg.devices = 2;
+    cfg.shards = 2;
+    cfg.server.ivf.enabled = true;
+    cfg.server.ivf.build = baseline::IvfBuildConfig{4, 512, 3};
+    baseline::RagCorpusSpec corpus{"ivf-mutation", 0, 2048, 368};
+    Router router(corpus, 4242, cfg);
+    ASSERT_TRUE(
+        router.admit(1, baseline::genQuery(corpus.dim, 1), 0.0).ok());
+    EXPECT_DEATH((void)router.applyMutation(1, {}),
+                 "fleet: corpus mutation is not supported with IVF "
+                 "serving \\(FleetConfig::server.ivf.enabled\\)");
+}

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -30,6 +31,14 @@ struct EwiseCase
     std::function<void(Gvml &, Vr, Vr, Vr)> run;
     std::function<uint16_t(uint16_t, uint16_t)> ref;
 };
+
+// ctest names parameterized tests after the printed parameter; print
+// the op name so the names do not carry per-process pointer bytes.
+void
+PrintTo(const EwiseCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 int16_t
 s16(uint16_t v)

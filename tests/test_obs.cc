@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <sys/stat.h>
+#include <unistd.h>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -949,9 +950,13 @@ TEST(BenchDiff, DegradedFixtureFiresTheGate)
 
 TEST(TraceWriter, WriteIsAtomicAndParsable)
 {
-    const char *path = "/tmp/cisram_test_obs_trace.json";
+    // Per-process path: the plain, ASan and TSan copies of this
+    // suite run concurrently under ctest -j.
+    std::string file = "/tmp/cisram_test_obs_trace." +
+        std::to_string(getpid()) + ".json";
+    const char *path = file.c_str();
     std::remove(path);
-    std::remove((std::string(path) + ".tmp").c_str());
+    std::remove((file + ".tmp").c_str());
 
     auto &tracer = trace::Tracer::get();
     tracer.enable(path);

@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <cstring>
+
 #include "baseline/faisslite.hh"
+#include "baseline/ivf.hh"
 #include "baseline/workloads.hh"
 #include "kernels/rag.hh"
 #include "kernels/rag_model.hh"
 #include "common/gsifloat.hh"
-#include <cmath>
 
 using namespace cisram;
 using namespace cisram::baseline;
@@ -33,6 +37,153 @@ referenceTopK(const RagCorpusSpec &spec, uint64_t seed,
     IndexFlatI16 idx(spec.dim);
     idx.add(emb.data(), spec.numChunks);
     return idx.search(query.data(), k);
+}
+
+} // namespace
+
+// ---- exact simulated-number pins -----------------------------------
+//
+// Every cycle charge is an integer, so each simulated number a
+// retrieval entry point reports is exact: the six Table 8 stage
+// fields and the core's cycle and uop totals must reproduce these
+// values bit for bit (== on doubles) through any restructuring of
+// the kernels. Functional pins also fix the returned hits through a
+// digest of their ids and scores.
+
+namespace {
+
+/** Stage fields, then CycleStats cycles and uops. */
+using SimPin = std::array<double, 8>;
+
+constexpr uint64_t kPinSeed = 4099;
+
+SimPin
+simPin(const RagRunResult &r, apu::ApuDevice &dev)
+{
+    const RagStageLatency &s = r.stages;
+    const apu::CycleStats &st = dev.core(0).stats();
+    return {s.loadEmbedding, s.loadQuery, s.calcDistance,
+            s.topkAggregation, s.returnTopk, s.overlapHidden,
+            st.cycles(), st.uops()};
+}
+
+/** FNV-1a over every result's (id, score) hits, in rank order. */
+uint64_t
+hitDigest(const std::vector<RagRunResult> &results)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mixIn = [&](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const RagRunResult &r : results) {
+        mixIn(r.hits.size());
+        for (const Hit &hit : r.hits) {
+            uint32_t bits;
+            std::memcpy(&bits, &hit.score, sizeof(bits));
+            mixIn(hit.id);
+            mixIn(bits);
+        }
+    }
+    return h;
+}
+
+void
+expectPin(const SimPin &got, const SimPin &want,
+          const std::string &what)
+{
+    static const char *const names[] = {
+        "loadEmbedding", "loadQuery",     "calcDistance",
+        "topkAggregation", "returnTopk", "overlapHidden",
+        "cycles",        "uops"};
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], want[i]) << what << " " << names[i];
+}
+
+/** A fresh device, HBM model and top-5 retriever on core 0. */
+struct PinRig
+{
+    PinRig(const RagCorpusSpec &spec, bool functional)
+        : hbm(dram::hbm2eConfig()), r(dev, hbm, spec, 5)
+    {
+        if (!functional)
+            dev.core(0).setMode(apu::ExecMode::TimingOnly);
+    }
+
+    apu::ApuDevice dev;
+    dram::DramSystem hbm;
+    RagRetriever r;
+};
+
+/** Batch call; every per-query result carries the same stages. */
+SimPin
+batchPin(PinRig &rig, const std::vector<std::vector<int16_t>> &qs,
+         const RagBatchOptions &opts, uint64_t *digest = nullptr)
+{
+    auto res = rig.r.retrieveBatch(qs, kPinSeed, opts);
+    EXPECT_EQ(res.size(), qs.size());
+    for (const RagRunResult &x : res) {
+        EXPECT_EQ(x.stages.total(), res[0].stages.total());
+        EXPECT_EQ(x.dramBytes, res[0].dramBytes);
+    }
+    if (digest)
+        *digest = hitDigest(res);
+    return simPin(res[0], rig.dev);
+}
+
+std::vector<std::vector<int16_t>>
+pinQueries(const RagCorpusSpec &spec, size_t n)
+{
+    std::vector<std::vector<int16_t>> qs;
+    for (size_t q = 0; q < n; ++q)
+        qs.push_back(spec.topics
+                         ? genQueryForTopic(spec, q % spec.topics,
+                                            900 + q, kPinSeed)
+                         : genQuery(spec.dim, 900 + q));
+    return qs;
+}
+
+/**
+ * retrieve() on a functional 40 000-chunk corpus (two supertiles, a
+ * ragged 7232-chunk tail), by RagVariant. Op latencies are
+ * data-independent, so any corpus and query of this shape must
+ * reproduce them.
+ */
+const SimPin &
+raggedMappingPin(RagVariant v)
+{
+    static const SimPin pins[] = {
+        {0x1.bfbb138efb2d3p-14, 0x1.cac195f32d1ap-19,
+         0x1.07d308253d7c4p-7, 0x1.75cbdf111d08dp-17,
+         0x1.d5c31593e5fb8p-17, 0x0p+0,
+         0x1.ed2778p+21, 0x1.9f5p+13}, // NoOpt
+        {0x1.41e6d259a6b79p-14, 0x1.b43526527a206p-19,
+         0x1.ee586b599ddebp-10, 0x1.73c879abe87bbp-17,
+         0x1.d5c31593e5fb8p-17, 0x0p+0,
+         0x1.d34fcp+19, 0x1.84cp+11}, // Opt1
+        {0x1.bfbb138efb2d3p-14, 0x1.cac195f32d1ap-19,
+         0x1.f933ddfdf7922p-8, 0x1.75cbdf111d08dp-17,
+         0x1.d5c31593e5fb8p-17, 0x0p+0,
+         0x1.d83fe8p+21, 0x1.9f5p+13}, // Opt2
+        {0x1.bfbb138efb2d3p-14, 0x1.cac195f32d1ap-19,
+         0x1.07d308253d7c4p-7, 0x1.75cbdf111d08dp-17,
+         0x1.d5c31593e5fb8p-17, 0x0p+0,
+         0x1.ed2778p+21, 0x1.9f5p+13}, // Opt3
+        {0x1.41e6d259a6b79p-14, 0x1.68914a25fa20ep-14,
+         0x1.69fd6c1e58a81p-10, 0x1.73c879abe87bbp-17,
+         0x1.d5c31593e5fb8p-17, 0x0p+0,
+         0x1.6c3d8p+19, 0x1.84cp+11}, // AllOpts
+    };
+    return pins[static_cast<size_t>(v)];
+}
+
+/** Two supertiles plus a ragged 7232-chunk tail. */
+RagCorpusSpec
+raggedSpec(size_t topics = 0)
+{
+    return RagCorpusSpec{"ragged", 0, 40000, 368, 0, topics};
 }
 
 } // namespace
@@ -78,6 +229,8 @@ TEST_P(RagFunctional, MultiTileCorpus)
             << ragVariantName(GetParam()) << " " << i;
         EXPECT_FLOAT_EQ(got.hits[i].score, expect[i].score) << i;
     }
+    expectPin(simPin(got, dev), raggedMappingPin(GetParam()),
+              ragVariantName(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -144,6 +297,23 @@ TEST(RagBatch, RejectsOversizedBatch)
         9, genQuery(spec.dim, 1));
     EXPECT_DEATH((void)retriever.retrieveBatch(queries, 1),
                  "batch size");
+}
+
+TEST(RagBatch, RejectsNprobeWithoutClustering)
+{
+    // Probing needs a clustering; without one the batch dies naming
+    // both fields instead of silently scanning exhaustively.
+    const auto &spec = ragCorpora()[0];
+    apu::ApuDevice dev;
+    dev.core(0).setMode(apu::ExecMode::TimingOnly);
+    dram::DramSystem hbm(dram::hbm2eConfig());
+    RagRetriever retriever(dev, hbm, spec, 5);
+    RagBatchOptions opts;
+    opts.search.nprobe = 2;
+    EXPECT_DEATH((void)retriever.retrieveBatch(
+                     {genQuery(spec.dim, 1)}, 1, opts),
+                 "RagBatchOptions::search.nprobe = 2 probes inverted "
+                 "lists, but RagBatchOptions::ivf holds no clustering");
 }
 
 namespace {
@@ -355,4 +525,388 @@ TEST(RagGf16, FasterDistanceThanInt16)
     double gf_dist = r2.retrieveGf16(q, 1).stages.calcDistance;
     EXPECT_LT(gf_dist, int_dist);
     EXPECT_GT(gf_dist, int_dist * 0.5);
+}
+
+TEST(RagPins, RetrieveTimingOnlyEveryMappingAndCorpus)
+{
+    struct Row
+    {
+        size_t corpus;
+        RagVariant v;
+        SimPin want;
+    };
+    const Row rows[] = {
+        {0, RagVariant::NoOpt,
+         {0x1.c7fdcd43a37c1p-12, 0x1.cac195f32d1ap-19,
+          0x1.0cc6867b7382ap-5, 0x1.d0ba9816e29aap-16,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.f55262p+23, 0x1.a504p+15}},
+        {0, RagVariant::Opt1,
+         {0x1.47be6b889d813p-12, 0x1.b43526527a206p-19,
+          0x1.34f681d1fcb78p-8, 0x1.d0ba9816e29aap-16,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.227cd8p+21, 0x1.e5cp+12}},
+        {0, RagVariant::Opt2,
+         {0x1.c7fdcd43a37c1p-12, 0x1.cac195f32d1ap-19,
+          0x1.015769af824a6p-5, 0x1.d0ba9816e29aap-16,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.e00636p+23, 0x1.a504p+15}},
+        {0, RagVariant::Opt3,
+         {0x1.c7fdcd43a37c1p-12, 0x1.cac195f32d1ap-19,
+          0x1.0cc6867b7382ap-5, 0x1.d0ba9816e29aap-16,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.f55262p+23, 0x1.a504p+15}},
+        {0, RagVariant::AllOpts,
+         {0x1.47be6b889d813p-12, 0x1.68914a25fa20ep-14,
+          0x1.c47b4499e2eaap-9, 0x1.d0ba9816e29aap-16,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.b4fd9p+20, 0x1.e5cp+12}},
+        {1, RagVariant::NoOpt,
+         {0x1.1e64b48d3ae67p-9, 0x1.cac195f32d1ap-19,
+          0x1.519ce188d7bbbp-3, 0x1.22749f0e4da0ap-13,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.3ab94ccp+26, 0x1.0865p+18}},
+        {1, RagVariant::Opt1,
+         {0x1.9bb0c38b04ab4p-10, 0x1.b43526527a206p-19,
+          0x1.8233a16d22983p-6, 0x1.22749f0e4da0ap-13,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.6a0e0ep+23, 0x1.2f88p+15}},
+        {1, RagVariant::Opt2,
+         {0x1.1e64b48d3ae67p-9, 0x1.cac195f32d1ap-19,
+          0x1.43402d5b71af9p-3, 0x1.22749f0e4da0ap-13,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.2d591a4p+26, 0x1.0865p+18}},
+        {1, RagVariant::Opt3,
+         {0x1.1e64b48d3ae67p-9, 0x1.cac195f32d1ap-19,
+          0x1.519ce188d7bbbp-3, 0x1.22749f0e4da0ap-13,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.3ab94ccp+26, 0x1.0865p+18}},
+        {1, RagVariant::AllOpts,
+         {0x1.9bb0c38b04ab4p-10, 0x1.68914a25fa20ep-14,
+          0x1.1acc8a06d4858p-6, 0x1.22749f0e4da0ap-13,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.0b040ap+23, 0x1.2f88p+15}},
+        {2, RagVariant::NoOpt,
+         {0x1.207dd2f1a9fbep-7, 0x1.cac195f32d1ap-19,
+          0x1.54160b964765ep-1, 0x1.255c3001a571ap-11,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.3d01471p+28, 0x1.0a55ap+20}},
+        {2, RagVariant::Opt1,
+         {0x1.9eb4df3b645ap-8, 0x1.b43526527a206p-19,
+          0x1.861036144a4b1p-4, 0x1.255c3001a571ap-11,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.6d799d8p+25, 0x1.328ep+17}},
+        {2, RagVariant::Opt2,
+         {0x1.207dd2f1a9fbep-7, 0x1.cac195f32d1ap-19,
+          0x1.459e67f95255bp-1, 0x1.255c3001a571ap-11,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.2f87febp+28, 0x1.0a55ap+20}},
+        {2, RagVariant::Opt3,
+         {0x1.207dd2f1a9fbep-7, 0x1.cac195f32d1ap-19,
+          0x1.54160b964765ep-1, 0x1.255c3001a571ap-11,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.3d01471p+28, 0x1.0a55ap+20}},
+        {2, RagVariant::AllOpts,
+         {0x1.9eb4df3b645ap-8, 0x1.68914a25fa20ep-14,
+          0x1.1da068af85adfp-4, 0x1.255c3001a571ap-11,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.0c86bc8p+25, 0x1.328ep+17}},
+    };
+    for (const Row &row : rows) {
+        const RagCorpusSpec &spec = ragCorpora()[row.corpus];
+        PinRig rig(spec, false);
+        auto r = rig.r.retrieve(genQuery(spec.dim, 1), row.v, 1);
+        std::string what = spec.label;
+        what += " ";
+        what += ragVariantName(row.v);
+        expectPin(simPin(r, rig.dev), row.want, what);
+    }
+}
+
+TEST(RagPins, Gf16TimingOnly200GB)
+{
+    const RagCorpusSpec &spec = ragCorpora()[2];
+    PinRig rig(spec, false);
+    auto r = rig.r.retrieveGf16(genQuery(spec.dim, 1), 1);
+    expectPin(simPin(r, rig.dev),
+              {0x1.9eb4df3b645ap-8, 0x1.5aefa0f3664fdp-14,
+               0x1.0b669331f6724p-4, 0x1.255c3001a571ap-11,
+               0x1.d5c31593e5fb8p-17, 0x0p+0,
+               0x1.f71455p+24, 0x1.3357p+17},
+              "gf16 200GB");
+}
+
+TEST(RagPins, BatchTimingOnly200GB)
+{
+    struct Row
+    {
+        size_t batch;
+        bool overlap;
+        uint16_t filter;
+        SimPin want;
+    };
+    const Row rows[] = {
+        {1, false, kFilterAll,
+         {0x1.9eb4df3b645ap-8, 0x1.5aefa0f3664fdp-14,
+          0x1.1e32c57186219p-4, 0x1.286e6f5a92031p-11,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.0d1198p+25, 0x1.32f28p+17}},
+        {1, false, 0x5a,
+         {0x1.9fd55d0e5604p-8, 0x1.5aefa0f3664fdp-14,
+          0x1.1e32c57186219p-4, 0x1.286e6f5a92031p-11,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.0d1198p+25, 0x1.32f28p+17}},
+        {1, true, kFilterAll,
+         {0x1.9eb4df3b645ap-8, 0x1.5aefa0f3664fdp-14,
+          0x1.1e32c57186219p-4, 0x1.286e6f5a92031p-11,
+          0x1.d5c31593e5fb8p-17, 0x1.9169c5322cc2p-8,
+          0x1.0d1198p+25, 0x1.32f28p+17}},
+        {1, true, 0x5a,
+         {0x1.9fd55d0e5604p-8, 0x1.5aefa0f3664fdp-14,
+          0x1.1e32c57186219p-4, 0x1.286e6f5a92031p-11,
+          0x1.d5c31593e5fb8p-17, 0x1.928767cb4496p-8,
+          0x1.0d1198p+25, 0x1.32f28p+17}},
+        {8, false, kFilterAll,
+         {0x1.9eb4df3b645ap-11, 0x1.6312b0171ab5p-17,
+          0x1.87723d67c818fp-6, 0x1.286e6f5a92031p-11,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.7590abp+26, 0x1.e681cp+19}},
+        {8, false, 0x5a,
+         {0x1.9fd55d0e5604p-11, 0x1.6312b0171ab5p-17,
+          0x1.87723d67c818fp-6, 0x1.286e6f5a92031p-11,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.7590abp+26, 0x1.e681cp+19}},
+        {8, true, kFilterAll,
+         {0x1.9eb4df3b645ap-11, 0x1.6312b0171ab5p-17,
+          0x1.87723d67c818fp-6, 0x1.286e6f5a92031p-11,
+          0x1.d5c31593e5fb8p-17, 0x1.9169c5322cc2p-11,
+          0x1.7590abp+26, 0x1.e681cp+19}},
+        {8, true, 0x5a,
+         {0x1.9fd55d0e5604p-11, 0x1.6312b0171ab5p-17,
+          0x1.87723d67c818fp-6, 0x1.286e6f5a92031p-11,
+          0x1.d5c31593e5fb8p-17, 0x1.928767cb4494p-11,
+          0x1.7590abp+26, 0x1.e681cp+19}},
+    };
+    const RagCorpusSpec &spec = ragCorpora()[2];
+    for (const Row &row : rows) {
+        PinRig rig(spec, false);
+        RagBatchOptions o;
+        o.overlapStream = row.overlap;
+        o.search.filterMask = row.filter;
+        std::string what = "b";
+        what += std::to_string(row.batch);
+        what += row.overlap ? " overlap" : "";
+        what += row.filter != kFilterAll ? " filtered" : "";
+        expectPin(batchPin(rig, pinQueries(spec, row.batch), o),
+                  row.want, what);
+    }
+}
+
+TEST(RagPins, IvfTimingOnlyListsSpanSupertiles)
+{
+    // Four lists over 200 K clustered chunks: every list holds more
+    // than 32 K chunks, so each probed list streams as a run of
+    // several supertiles with a ragged tail.
+    RagCorpusSpec spec{"ivf-200k", 0, 200000, 368, 0, 16};
+    auto cl = IvfClustering::build(spec, kPinSeed, {4, 16384, 4});
+    for (size_t list = 0; list < cl.numLists(); ++list)
+        ASSERT_GT(cl.listSize(list), 32768u) << list;
+    struct Row
+    {
+        size_t batch;
+        size_t nprobe;
+        bool overlap;
+        uint16_t filter;
+        SimPin want;
+    };
+    const Row rows[] = {
+        {1, 1, false, kFilterAll,
+         {0x1.2e31aab1022a1p-14, 0x1.5aefa0f3664fdp-14,
+          0x1.1008ae1bd4136p-9, 0x1.a42b2934bdde1p-17,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.0aafap+20, 0x1.1fdp+12}},
+        {8, 1, true, kFilterAll,
+         {0x1.9225d04984027p-15, 0x1.6312b0171ab5p-17,
+          0x1.47dba9e7f900cp-10, 0x1.fc37263a84e9cp-17,
+          0x1.d5c31593e5fb8p-17, 0x1.585da654643cp-15,
+          0x1.3b0a74p+22, 0x1.1c7ep+15}},
+        {8, 2, true, 0x5a,
+         {0x1.933d901dd332ep-15, 0x1.6312b0171ab5p-17,
+          0x1.a1c86b82f4ab6p-10, 0x1.cbdd0db7a39adp-16,
+          0x1.d5c31593e5fb8p-17, 0x1.595650d838d8p-15,
+          0x1.91c8b4p+22, 0x1.b1dep+15}},
+        {4, 4, false, kFilterAll,
+         {0x1.9225d04984027p-14, 0x1.5e30da34e1ab8p-16,
+          0x1.8b4d3b1c35c0bp-9, 0x1.cb607fe150814p-15,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.7b185cp+22, 0x1.8f46p+15}},
+    };
+    for (const Row &row : rows) {
+        PinRig rig(spec, false);
+        RagBatchOptions o;
+        o.overlapStream = row.overlap;
+        o.search = {row.nprobe, row.filter};
+        o.ivf = &cl;
+        std::string what = "b";
+        what += std::to_string(row.batch);
+        what += " nprobe ";
+        what += std::to_string(row.nprobe);
+        expectPin(batchPin(rig, pinQueries(spec, row.batch), o),
+                  row.want, what);
+    }
+}
+
+TEST(RagPins, FunctionalRaggedGf16)
+{
+    // The five retrieve() mappings are pinned by
+    // RagFunctional.MultiTileCorpus on the same shape.
+    const RagCorpusSpec spec = raggedSpec();
+    PinRig rig(spec, true);
+    auto r = rig.r.retrieveGf16(genQuery(spec.dim, 77), kPinSeed);
+    EXPECT_EQ(hitDigest({r}), 0x4100756d82669a13ull);
+    expectPin(simPin(r, rig.dev),
+              {0x1.41e6d259a6b79p-14, 0x1.5aefa0f3664fdp-14,
+               0x1.52e25016c3bbep-10, 0x1.73c879abe87bbp-17,
+               0x1.d5c31593e5fb8p-17, 0x0p+0,
+               0x1.55ed8p+19, 0x1.858p+11},
+              "gf16");
+}
+
+TEST(RagPins, FunctionalRaggedBatch)
+{
+    const RagCorpusSpec spec = raggedSpec();
+    struct Row
+    {
+        size_t batch;
+        bool overlap;
+        uint16_t filter;
+        uint64_t digest;
+        SimPin want;
+    };
+    const Row rows[] = {
+        {1, false, kFilterAll, 0x342e20f4d43ea1d4ull,
+         {0x1.41e6d259a6b79p-14, 0x1.5aefa0f3664fdp-14,
+          0x1.6ab6e946e72b6p-10, 0x1.77ace85e81485p-17,
+          0x1.d5c31593e5fb8p-17, 0x0p+0,
+          0x1.6c266p+19, 0x1.852p+11}},
+        {8, true, kFilterAll, 0xb6e4d912cc8c88b7ull,
+         {0x1.41e6d259a6b79p-17, 0x1.6312b0171ab5p-17,
+          0x1.f0181a41e46acp-12, 0x1.77ace85e81485p-17,
+          0x1.d5c31593e5fb8p-17, 0x1.2a9d6835fa14p-18,
+          0x1.f0f69p+20, 0x1.344cp+14}},
+        {3, true, 0x5a, 0xa23c19f2e53b1c88ull,
+         {0x1.ae5f749c939a4p-16, 0x1.d1d60fdb591b7p-16,
+          0x1.69b59da89455cp-11, 0x1.77ace85e81485p-17,
+          0x1.d5c31593e5fb8p-17, 0x1.8f52e717ad6abp-17,
+          0x1.100bep+20, 0x1.eb5p+12}},
+    };
+    for (const Row &row : rows) {
+        PinRig rig(spec, true);
+        RagBatchOptions o;
+        o.overlapStream = row.overlap;
+        o.search.filterMask = row.filter;
+        uint64_t digest = 0;
+        std::string what = "b";
+        what += std::to_string(row.batch);
+        what += row.filter != kFilterAll ? " filtered" : "";
+        expectPin(batchPin(rig, pinQueries(spec, row.batch), o,
+                           &digest),
+                  row.want, what);
+        EXPECT_EQ(digest, row.digest) << what;
+    }
+}
+
+TEST(RagPins, FunctionalRaggedEpochOverlay)
+{
+    // Epoch 1 over the ragged corpus: inserts append fresh global
+    // ids past the base corpus, deletes tombstone base and inserted
+    // chunks on both sides of the supertile boundary.
+    CorpusEpochView view;
+    view.epoch = 1;
+    view.baseChunks = 40000;
+    for (uint64_t i = 0; i < 300; ++i)
+        view.inserted.push_back(1000000 + 3 * i);
+    view.deleted = {5, 32767, 32768, 39999, 1000000 + 3 * 7};
+    RagCorpusSpec spec = raggedSpec();
+    spec.numChunks = view.baseChunks + view.inserted.size();
+    spec.epochView = &view;
+
+    PinRig rig(spec, true);
+    RagBatchOptions o;
+    o.overlapStream = true;
+    uint64_t digest = 0;
+    expectPin(batchPin(rig, pinQueries(spec, 3), o, &digest),
+              {0x1.b19816d81ae28p-16, 0x1.d1d60fdb591b7p-16,
+               0x1.69b59da89455cp-11, 0x1.77ace85e81485p-17,
+               0x1.d5c31593e5fb8p-17, 0x1.928b895334bp-17,
+               0x1.100bep+20, 0x1.eb5p+12},
+              "epoch overlay");
+    EXPECT_EQ(digest, 0x192149aaf02f4449ull);
+}
+
+TEST(RagPins, FunctionalRaggedIvf)
+{
+    const RagCorpusSpec spec = raggedSpec(4);
+    auto cl = IvfClustering::build(spec, kPinSeed, {4, 8192, 4});
+    struct Row
+    {
+        size_t batch;
+        size_t nprobe;
+        uint16_t filter;
+        uint64_t digest;
+        SimPin want;
+    };
+    const Row rows[] = {
+        {2, 1, kFilterAll, 0x68b12cb968771199ull,
+         {0x1.415b3c38e87cp-16, 0x1.5bbfef43c526cp-15,
+          0x1.2683de8292fe1p-10, 0x1.c9f36d644b47fp-18,
+          0x1.d5c31593e5fb8p-17, 0x1.12c867f18f38p-17,
+          0x1.217e5p+20, 0x1.66p+12}},
+        {3, 1, 0x5a, 0x3405db737df8d28aull,
+         {0x1.433cbfb14c11ep-16, 0x1.d1d60fdb591b7p-16,
+          0x1.0fc8304121999p-10, 0x1.c7b6c3d766395p-18,
+          0x1.d5c31593e5fb8p-17, 0x1.8068d5fa617abp-17,
+          0x1.8d75p+20, 0x1.06b8p+13}},
+        {4, 4, kFilterAll, 0x4b576bd00c2e1fb8ull,
+         {0x1.41ef695f9acafp-16, 0x1.5e30da34e1ab8p-16,
+          0x1.8b4d7b88e2674p-10, 0x1.c128dd4c7f682p-16,
+          0x1.d5c31593e5fb8p-17, 0x1.b45449c80ee8p-17,
+          0x1.7f345p+21, 0x1.8ec8p+14}},
+    };
+    for (const Row &row : rows) {
+        PinRig rig(spec, true);
+        RagBatchOptions o;
+        o.overlapStream = true;
+        o.search = {row.nprobe, row.filter};
+        o.ivf = &cl;
+        uint64_t digest = 0;
+        std::string what = "b";
+        what += std::to_string(row.batch);
+        what += " nprobe ";
+        what += std::to_string(row.nprobe);
+        expectPin(batchPin(rig, pinQueries(spec, row.batch), o,
+                           &digest),
+                  row.want, what);
+        EXPECT_EQ(digest, row.digest) << what;
+    }
+}
+
+TEST(RagBatch, RunsStageOneAtATimeAndNothingOutlivesTheCall)
+{
+    // nprobe = K over four ~10 K-chunk lists: the centroid run and
+    // the four list runs are one supertile each, staged and freed in
+    // turn, so they all reuse one block of device memory.
+    const RagCorpusSpec spec = raggedSpec(4);
+    auto cl = IvfClustering::build(spec, kPinSeed, {4, 8192, 4});
+    PinRig rig(spec, true);
+    apu::DramAllocator &mem = rig.dev.allocator();
+    size_t live = mem.liveCount();
+    uint64_t used = mem.used();
+    RagBatchOptions o;
+    o.search = {4, kFilterAll};
+    o.ivf = &cl;
+    (void)rig.r.retrieveBatch(pinQueries(spec, 4), kPinSeed, o);
+    EXPECT_EQ(mem.liveCount(), live);
+    uint64_t block = (spec.dim + 1) * rig.dev.spec().vrLength * 2;
+    EXPECT_LT(mem.used() - used, 2 * block);
 }

@@ -11,6 +11,9 @@
 
 #include <cstdio>
 #include <limits>
+#include <string>
+
+#include <unistd.h>
 
 #include "apusim/apu.hh"
 #include "apusim/cycle_stats.hh"
@@ -408,7 +411,11 @@ TEST(Trace, RenderedJsonIsValidChromeTrace)
 
 TEST(Trace, WriteProducesParsableFile)
 {
-    const char *path = "/tmp/cisram_test_trace_write.json";
+    // Per-process path: the plain and TSan copies of this suite run
+    // concurrently under ctest -j.
+    std::string file = "/tmp/cisram_test_trace_write." +
+        std::to_string(getpid()) + ".json";
+    const char *path = file.c_str();
     auto &tracer = trace::Tracer::get();
     tracer.enable(path);
     apu::CycleStats stats;
