@@ -181,8 +181,10 @@ main()
         DeviceServer server(sdev, spec, 0, nullptr, 1, cfg);
         t0 = Clock::now();
         for (uint64_t q = 0; q < 16; ++q)
-            server.enqueue(q, baseline::genQuery(spec.dim,
-                                                 static_cast<int>(q)));
+            server.enqueueAt(q,
+                             baseline::genQuery(spec.dim,
+                                                static_cast<int>(q)),
+                             server.busySeconds());
         server.drain();
         serving_wall = secondsSince(t0);
     }

@@ -100,7 +100,7 @@ runFleet(const RagCorpusSpec &spec, FleetConfig cfg, bool twoWaves,
     if (twoWaves) {
         for (; q < kQueries / 2; ++q)
             admit(q, 0.0);
-        for (FleetOutcome &o : router.pump())
+        for (FleetOutcome &o : router.pumpUntil(0.0))
             outs.push_back(std::move(o));
         double t = router.makespanSeconds();
         for (; q < kQueries; ++q)
@@ -149,13 +149,8 @@ functionalPhase(bool &exactly_once, uint64_t &kill_failovers)
     golden.add(emb.data(), spec.numChunks);
 
     const int n = 16;
-    auto goldenIds = [&](int q) {
-        auto hits = golden.search(genQuery(spec.dim, 600 + q).data(),
-                                  5);
-        std::vector<uint32_t> ids;
-        for (const auto &h : hits)
-            ids.push_back(static_cast<uint32_t>(h.id));
-        return ids;
+    auto goldenHits = [&](int q) {
+        return golden.search(genQuery(spec.dim, 600 + q).data(), 5);
     };
 
     bool exact = true;
@@ -170,7 +165,7 @@ functionalPhase(bool &exactly_once, uint64_t &kill_failovers)
         for (int q = 0; q < n / 2; ++q)
             (void)router.admit(static_cast<uint64_t>(q + 1),
                                genQuery(spec.dim, 600 + q));
-        for (FleetOutcome &o : router.pump())
+        for (FleetOutcome &o : router.pumpUntil(0.0))
             outs.push_back(std::move(o));
         double t = router.makespanSeconds();
         for (int q = n / 2; q < n; ++q)
@@ -188,7 +183,7 @@ functionalPhase(bool &exactly_once, uint64_t &kill_failovers)
             exactly_once =
                 exactly_once && o.ok && seen.insert(o.id).second;
             exact = exact &&
-                o.ids == goldenIds(static_cast<int>(o.id) - 1);
+                o.hits == goldenHits(static_cast<int>(o.id) - 1);
         }
         if (kill)
             kill_failovers = router.failovers();

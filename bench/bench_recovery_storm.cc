@@ -93,9 +93,10 @@ runPhase(DeviceServer &server, const RagCorpusSpec &spec,
 
     std::vector<ServeOutcome> outs;
     auto admit = [&](int q) {
-        server.enqueue(idBase + static_cast<uint64_t>(q),
-                       genQuery(spec.dim,
-                                static_cast<int>(idBase) + q));
+        server.enqueueAt(idBase + static_cast<uint64_t>(q),
+                         genQuery(spec.dim,
+                                  static_cast<int>(idBase) + q),
+                         server.busySeconds());
     };
     int q = 0;
     if (resetAfterFirstBatch) {
@@ -105,7 +106,8 @@ runPhase(DeviceServer &server, const RagCorpusSpec &spec,
         // rebuilt session.
         for (; q < 8; ++q)
             admit(q);
-        for (ServeOutcome &out : server.pump())
+        for (ServeOutcome &out :
+             server.pumpUntil(server.busySeconds()))
             outs.push_back(std::move(out));
         for (; q < kQueries; ++q)
             admit(q);

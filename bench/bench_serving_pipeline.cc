@@ -73,8 +73,9 @@ runPoint(const RagCorpusSpec &spec, size_t batch, bool overlap,
 
     metrics::Histogram served;
     for (int q = 0; q < kQueries; ++q)
-        server.enqueue(static_cast<uint64_t>(q),
-                       genQuery(spec.dim, 1000 + q));
+        server.enqueueAt(static_cast<uint64_t>(q),
+                         genQuery(spec.dim, 1000 + q),
+                         server.busySeconds());
     for (const ServeOutcome &out : server.drain()) {
         served.observe(out.servedSeconds());
         if (slo)

@@ -160,7 +160,7 @@ sloPolicy()
  * answer's top-k ids against FAISS-lite exact search. Admissions a
  * quarantined core sheds are re-routed round-robin to its siblings
  * (the two-round pattern a front-end load balancer would run); a
- * query every core shed is served synchronously on its home core.
+ * query every core shed is reported as shed and owes no answer.
  * With an armed fault plan this is the proof that injected hangs,
  * PCIe corruption, and ECC errors degrade latency, never
  * correctness.
@@ -188,7 +188,7 @@ selfCheck()
             dev, corpus, c, &index, seed, cfg));
 
     constexpr int checkQueries = 16;
-    unsigned sheds = 0, rerouted = 0, sync_served = 0;
+    unsigned sheds = 0, rerouted = 0, unanswered = 0;
     std::vector<ServeOutcome> outcomes;
     for (int q = 0; q < checkQueries; ++q) {
         unsigned home = static_cast<unsigned>(q) % cores;
@@ -196,8 +196,9 @@ selfCheck()
         bool admitted = false;
         for (unsigned hop = 0; hop < cores && !admitted; ++hop) {
             unsigned c = (home + hop) % cores;
-            Status st = servers[c]->enqueue(
-                static_cast<uint64_t>(q), query);
+            Status st = servers[c]->enqueueAt(
+                static_cast<uint64_t>(q), query,
+                servers[c]->busySeconds());
             if (st.ok()) {
                 admitted = true;
                 if (hop > 0)
@@ -206,29 +207,21 @@ selfCheck()
                 ++sheds; // ResourceExhausted: re-route, never drop
             }
         }
-        if (!admitted) {
-            // Every core is shedding: serve synchronously so the
-            // query still gets exactly one answer.
-            ServeOutcome out = servers[home]->serve(query);
-            out.id = static_cast<uint64_t>(q);
-            outcomes.push_back(std::move(out));
-            ++sync_served;
-        }
+        if (!admitted)
+            ++unanswered; // every core shed it, loudly
     }
 
     for (auto &server : servers)
         for (ServeOutcome &out : server->drain())
             outcomes.push_back(std::move(out));
 
-    bool all_ok = outcomes.size() == checkQueries;
+    bool all_ok = outcomes.size() + unanswered == checkQueries;
     unsigned device_answers = 0, fallback_answers = 0;
     for (const ServeOutcome &out : outcomes) {
         int q = static_cast<int>(out.id);
         auto query = genQuery(corpus.dim, 100 + q);
         auto expect = index.search(query.data(), kTopK);
-        bool ok = out.ok && out.ids.size() == expect.size();
-        for (size_t i = 0; ok && i < expect.size(); ++i)
-            ok = out.ids[i] == static_cast<uint32_t>(expect[i].id);
+        bool ok = out.ok && out.run.hits == expect;
         if (out.fromDevice)
             ++device_answers;
         else
@@ -256,9 +249,9 @@ selfCheck()
                 fallback_answers, all_ok ? "PASS" : "FAIL");
     if (sheds || resets)
         std::printf("  recovery: %u admissions shed (%u re-routed, "
-                    "%u served sync), %u core reset(s), %llu "
+                    "%u shed by every core), %u core reset(s), %llu "
                     "replayed quer%s\n",
-                    sheds, rerouted, sync_served, resets,
+                    sheds, rerouted, unanswered, resets,
                     static_cast<unsigned long long>(replayed),
                     replayed == 1 ? "y" : "ies");
     std::printf("\n");
@@ -295,7 +288,7 @@ fleetDemo()
     for (int q = 0; q < n / 2; ++q)
         (void)router.admit(static_cast<uint64_t>(q + 1),
                            genQuery(corpus.dim, 300 + q));
-    for (fleet::FleetOutcome &o : router.pump())
+    for (fleet::FleetOutcome &o : router.pumpUntil(0.0))
         outs.push_back(std::move(o));
     double t = router.makespanSeconds();
     for (int q = n / 2; q < n; ++q)
@@ -311,10 +304,7 @@ fleetDemo()
         int q = static_cast<int>(o.id) - 1;
         auto expect = index.search(
             genQuery(corpus.dim, 300 + q).data(), kTopK);
-        bool ok = o.ok && o.ids.size() == expect.size();
-        for (size_t i = 0; ok && i < expect.size(); ++i)
-            ok = o.ids[i] == static_cast<uint32_t>(expect[i].id);
-        all_ok = all_ok && ok;
+        all_ok = all_ok && o.ok && o.hits == expect;
     }
     std::printf("fleet demo: %d queries over a 4-device R=2 fleet, "
                 "one device killed mid-stream: %llu failover(s), "
@@ -340,6 +330,7 @@ struct QueryRecord
     size_t batchSize = 1;
     bool fromDevice = true;
     int core = 0;
+    bool answered = false; ///< false: shed by the core, twice
 };
 
 /** One timing-loop run's records plus its recovery/fault ledger. */
@@ -355,6 +346,7 @@ struct LoopResult
     unsigned resets = 0;
     uint64_t replayed = 0;
     unsigned sheds = 0;
+    unsigned unanswered = 0;
     double resetSeconds = 0;
     std::vector<std::string> breakerStates;
 
@@ -370,7 +362,8 @@ struct LoopResult
     {
         std::vector<double> v;
         for (const auto &r : records)
-            v.push_back(r.servedSeconds);
+            if (r.answered)
+                v.push_back(r.servedSeconds);
         std::sort(v.begin(), v.end());
         size_t i = static_cast<size_t>(p * (v.size() - 1));
         return v[i];
@@ -416,6 +409,7 @@ runTimingLoop(const RagCorpusSpec &spec)
 
         auto record = [&](const ServeOutcome &out) {
             auto &rec = res.records[out.id];
+            rec.answered = true;
             rec.core = static_cast<int>(c);
             rec.queueWaitSeconds = out.queueWaitSeconds;
             rec.retrievalSeconds = out.retrievalSeconds;
@@ -441,25 +435,22 @@ runTimingLoop(const RagCorpusSpec &spec)
         // escalating through reset + replay if the core wedges. A
         // shed admission (quarantined core past its reset budget,
         // or queue over its bound) drains the core and retries
-        // once; a second shed serves synchronously. Either way the
-        // query is answered, never dropped.
+        // once; a second shed is reported, never silently dropped,
+        // and the query stays out of the latency records.
         for (size_t q = shard.begin; q < shard.end; ++q) {
             auto emb =
                 genQuery(spec.dim, 1000 + static_cast<int>(q));
-            Status st =
-                server.enqueue(static_cast<uint64_t>(q), emb);
+            Status st = server.enqueueAt(static_cast<uint64_t>(q),
+                                         emb, server.busySeconds());
             if (!st.ok()) {
                 ++shedsPerCore[c];
                 for (const auto &out : server.drain())
                     record(out);
-                st = server.enqueue(static_cast<uint64_t>(q), emb);
+                st = server.enqueueAt(static_cast<uint64_t>(q), emb,
+                                      server.busySeconds());
             }
-            if (!st.ok()) {
-                ++shedsPerCore[c];
-                ServeOutcome out = server.serve(emb);
-                out.id = static_cast<uint64_t>(q);
-                record(out);
-            }
+            if (!st.ok())
+                ++shedsPerCore[c]; // its record stays unanswered
         }
         for (const auto &out : server.drain())
             record(out);
@@ -468,6 +459,8 @@ runTimingLoop(const RagCorpusSpec &spec)
                           std::chrono::steady_clock::now() -
                           wallStart)
                           .count();
+    for (const auto &rec : res.records)
+        res.unanswered += rec.answered ? 0 : 1;
 
     for (unsigned c = 0; c < cores; ++c) {
         const auto &hs = servers[c]->host().stats();
@@ -572,6 +565,7 @@ main()
     // for any worker interleaving.
     obs::SloMonitor slo(sloPolicy());
 
+    const unsigned answered = kQueries - loop.unanswered;
     double total_energy = 0.0, total_ttft = 0.0;
     unsigned device_queries = 0, fallback_queries = 0;
     unsigned total_attempts = 0;
@@ -580,6 +574,10 @@ main()
                 "TTFT (ms)", "APU E (mJ)");
     for (int q = 0; q < kQueries; ++q) {
         const auto &rec = loop.records[q];
+        if (!rec.answered) {
+            std::printf("%5d  shed twice, never answered\n", q);
+            continue;
+        }
         m_queries.inc();
         m_served.observe(rec.servedSeconds);
         m_wait.observe(rec.queueWaitSeconds);
@@ -607,7 +605,7 @@ main()
     // waits overlap with service and don't add to core busy time).
     std::printf("\naggregate throughput: %.1f QPS over %u cores "
                 "(busiest core %.1f ms for its shard)\n",
-                kQueries / loop.busiest, cores,
+                answered / loop.busiest, cores,
                 loop.busiest * 1e3);
     std::printf("host wall-clock for the serving loop: %.2f s "
                 "(%u sim thread(s) on %u host cpu(s))\n",
@@ -616,8 +614,8 @@ main()
                 std::thread::hardware_concurrency());
     std::printf("average TTFT: %.0f ms; retrieval energy per "
                 "query: %.0f mJ\n",
-                total_ttft / kQueries * 1e3,
-                total_energy / kQueries * 1e3);
+                total_ttft / answered * 1e3,
+                total_energy / answered * 1e3);
     energy::GpuEnergyModel gpu;
     std::printf("GPU retrieval energy at this corpus: %.1f J per "
                 "query -> %.0fx reduction\n",
@@ -657,15 +655,17 @@ main()
                 loop.resets, loop.resetSeconds * 1e3,
                 static_cast<unsigned long long>(loop.replayed),
                 loop.sheds);
+    if (loop.unanswered > 0)
+        std::printf("  queries shed twice, never answered %u\n",
+                    loop.unanswered);
 
     // Flight-recorder attribution: where every served second went,
     // summed over the per-query span trees. The reconciliation
     // invariant (DESIGN.md "Observability"): each query's spans sum
     // bit-exactly to its served latency.
-    // Every journaled query must reconcile; a query every core shed
-    // is served synchronously outside the journal and is (by design)
-    // not recorded, so completed can trail kQueries under a fault
-    // plan — but never in a clean run.
+    // Every answered query is journaled and must reconcile; a query
+    // shed twice is never answered, so completed can trail kQueries
+    // under a fault plan — but never in a clean run.
     bool reconciled_ok = loop.flightsCompleted > 0 &&
         loop.flightsReconciled == loop.flightsCompleted;
     double attributed = 0;
@@ -772,7 +772,7 @@ main()
                       static_cast<double>(loop.replayed));
         report.scalar("admissions_shed", loop.sheds);
         report.scalar("reset_seconds", loop.resetSeconds);
-        report.scalar("mean_ttft_seconds", total_ttft / kQueries);
+        report.scalar("mean_ttft_seconds", total_ttft / answered);
         report.scalar("served_p50_seconds", m_served.quantile(0.50));
         report.scalar("served_p95_seconds", m_served.quantile(0.95));
         report.scalar("served_p99_seconds", m_served.quantile(0.99));
@@ -781,7 +781,7 @@ main()
             report.scalar("p99_degradation_ratio",
                           p99 / baseline_p99);
         }
-        report.scalar("qps", kQueries / loop.busiest);
+        report.scalar("qps", answered / loop.busiest);
 
         // Flight-recorder ledger: the per-stage attribution
         // breakdown plus the reconciliation tally — a query that

@@ -181,15 +181,7 @@ Router::dispatchShard(QueryState &qs, unsigned shard,
 {
     SubState &sub = qs.subs[shard];
     const std::vector<unsigned> &prio = placement_[shard];
-    auto &reg = metrics::Registry::get();
     std::string last_err = "no replica admitted it";
-
-    auto count_failover = [&](unsigned device) {
-        ++sub.failovers;
-        ++failovers_;
-        reg.counter("fleet.failover", {{"device", devLabel(device)}})
-            .inc();
-    };
 
     while (sub.nextReplica < prio.size()) {
         unsigned d = prio[sub.nextReplica++];
@@ -197,12 +189,12 @@ Router::dispatchShard(QueryState &qs, unsigned shard,
         // Locally-known dead ends cost nothing: a severed/wedged
         // link or an Open router breaker skips without a send.
         if (!deviceAlive(d)) {
-            count_failover(d);
+            countFailover(sub, d);
             last_err = detail::concat("device ", d, " is down");
             continue;
         }
         if (!routerBreakers_[d].allowRequest()) {
-            count_failover(d);
+            countFailover(sub, d);
             last_err = detail::concat("device ", d,
                                       " breaker open");
             continue;
@@ -215,7 +207,7 @@ Router::dispatchShard(QueryState &qs, unsigned shard,
         if (!tr.ok()) {
             routerBreakers_[d].recordFailure();
             sub.extraHostSeconds += charged;
-            count_failover(d);
+            countFailover(sub, d);
             last_err = tr.status().message();
             continue;
         }
@@ -245,16 +237,16 @@ Router::dispatchShard(QueryState &qs, unsigned shard,
             // the next replica.
             routerBreakers_[d].recordFailure();
             sub.extraHostSeconds += charged;
-            count_failover(d);
+            countFailover(sub, d);
             last_err = est.message();
             continue;
         }
 
         routerBreakers_[d].recordSuccess();
-        reg.counter("fleet.scatter.subqueries",
-                    {{"tenant", qs.cls.tenant},
-                     {"slo_class",
-                      std::to_string(qs.cls.sloClass)}})
+        metrics::Registry::get()
+            .counter("fleet.scatter.subqueries",
+                     {{"tenant", qs.cls.tenant},
+                      {"slo_class", std::to_string(qs.cls.sloClass)}})
             .inc();
         sub.device = d;
         sub.arrivalSeconds = arrival;
@@ -282,9 +274,9 @@ Router::admit(uint64_t id, std::vector<int16_t> query,
                   search.nprobe,
                   " but the fleet's servers have no IVF clustering");
 
-    // Per-tenant quota, checked before the ledger ever sees the
-    // query: a quota shed is never journaled, so exactly-once
-    // accounting stays clean (only admitted queries owe outcomes).
+    // Per-tenant quota, checked before the query is admitted: a
+    // quota shed is never journaled, so exactly-once accounting
+    // stays clean (only admitted queries owe outcomes).
     for (const FleetConfig::TenantQuota &q : cfg_.quotas) {
         if (q.tenant != cls.tenant || q.maxInFlight == 0)
             continue;
@@ -306,8 +298,6 @@ Router::admit(uint64_t id, std::vector<int16_t> query,
         }
     }
 
-    ledger_.admit(id, kernels::QueryPayload{query, search, cls},
-                  arrival_seconds);
     flight_.recordAdmit(id, arrival_seconds);
     ++tenantInFlight_[cls.tenant];
 
@@ -328,17 +318,32 @@ Router::admit(uint64_t id, std::vector<int16_t> query,
         Status st = dispatchShard(qs, s, arrival_seconds);
         if (!st.ok()) {
             // Loud failure: the query is completed (exactly once)
-            // as not-ok rather than silently dropped; its flight
-            // names the unroutable shard.
-            qs.failed = true;
-            qs.subs[s].done = true;
-            qs.subs[s].unroutable = true;
-            --qs.remaining;
+            // as not-ok rather than silently dropped.
+            markUnroutable(qs, s);
             if (first_err.ok())
                 first_err = st;
         }
     }
     return first_err;
+}
+
+void
+Router::countFailover(SubState &sub, unsigned device)
+{
+    ++sub.failovers;
+    ++failovers_;
+    metrics::Registry::get()
+        .counter("fleet.failover", {{"device", devLabel(device)}})
+        .inc();
+}
+
+void
+Router::markUnroutable(QueryState &qs, unsigned shard)
+{
+    qs.failed = true;
+    qs.subs[shard].done = true;
+    qs.subs[shard].unroutable = true;
+    --qs.remaining;
 }
 
 void
@@ -375,19 +380,11 @@ Router::collect(unsigned device,
             fabric_.stats(device).busySeconds - before;
         if (!rt.ok()) {
             sub.extraHostSeconds += charged;
-            ++sub.failovers;
-            ++failovers_;
-            reg.counter("fleet.failover",
-                        {{"device", devLabel(device)}})
-                .inc();
+            countFailover(sub, device);
             Status st = dispatchShard(qs, shard, qs.admitSeconds,
                                       sub.arrivalSeconds + served);
-            if (!st.ok()) {
-                qs.failed = true;
-                sub.done = true;
-                sub.unroutable = true;
-                --qs.remaining;
-            }
+            if (!st.ok())
+                markUnroutable(qs, shard);
             continue;
         }
 
@@ -427,6 +424,8 @@ Router::reapFinished()
 FleetOutcome
 Router::finishQuery(QueryState &qs)
 {
+    cisram_assert(!qs.finished, "fleet: double completion of query #",
+                  qs.id);
     FleetOutcome out;
     out.id = qs.id;
     out.admitSeconds = qs.admitSeconds;
@@ -461,9 +460,6 @@ Router::finishQuery(QueryState &qs)
     if (candidates.size() > cfg_.topK)
         candidates.resize(cfg_.topK);
     out.hits = std::move(candidates);
-    out.ids.reserve(out.hits.size());
-    for (const baseline::Hit &h : out.hits)
-        out.ids.push_back(static_cast<uint32_t>(h.id));
 
     double merge = static_cast<double>(shards_) *
         static_cast<double>(cfg_.topK) *
@@ -522,7 +518,6 @@ Router::finishQuery(QueryState &qs)
         .inc(static_cast<double>(shards_) *
              static_cast<double>(cfg_.topK));
 
-    ledger_.complete(qs.id);
     auto tf = tenantInFlight_.find(qs.cls.tenant);
     if (tf != tenantInFlight_.end() && tf->second > 0)
         --tf->second;
@@ -530,18 +525,6 @@ Router::finishQuery(QueryState &qs)
     qs.query.clear();
     qs.query.shrink_to_fit();
     return out;
-}
-
-std::vector<FleetOutcome>
-Router::pump()
-{
-    for (unsigned d = 0; d < devices(); ++d) {
-        if (fleet_[d].killed)
-            continue;
-        for (ShardServer &ss : fleet_[d].servers)
-            collect(d, ss.server->pump());
-    }
-    return reapFinished();
 }
 
 std::vector<FleetOutcome>
@@ -625,13 +608,19 @@ Router::applyMutation(uint64_t new_epoch,
     return served;
 }
 
+size_t
+Router::ledgerOutstanding() const
+{
+    size_t n = 0;
+    for (const QueryState &qs : queries_)
+        n += qs.finished ? 0 : 1;
+    return n;
+}
+
 std::vector<FleetOutcome>
 Router::drain()
 {
-    size_t outstanding = 0;
-    for (const QueryState &qs : queries_)
-        if (!qs.finished)
-            ++outstanding;
+    size_t outstanding = ledgerOutstanding();
 
     // A pass may re-dispatch work onto a device drained earlier in
     // the same pass (failover), so iterate to a fixed point. Each
@@ -639,13 +628,10 @@ Router::drain()
     // sub-query one replica down its finite priority list, so
     // passes are bounded by queries x replicas.
     for (size_t pass = 0;; ++pass) {
-        bool all_done = true;
-        for (const QueryState &qs : queries_)
-            if (qs.remaining != 0) {
-                all_done = false;
-                break;
-            }
-        if (all_done)
+        if (std::all_of(queries_.begin(), queries_.end(),
+                        [](const QueryState &qs) {
+                            return qs.remaining == 0;
+                        }))
             break;
         cisram_assert(pass <= outstanding * (cfg_.replicas + 1u),
                       "fleet: drain did not converge");
@@ -680,12 +666,7 @@ Router::evacuateDevice(unsigned device)
             // The hand-off is itself a failover: the send to the
             // dead device bought nothing, so its charge moves to
             // the failover (host) account.
-            ++sub.failovers;
-            ++failovers_;
-            metrics::Registry::get()
-                .counter("fleet.failover",
-                         {{"device", devLabel(device)}})
-                .inc();
+            countFailover(sub, device);
             sub.extraHostSeconds += sub.sendSeconds;
             sub.sendSeconds = 0;
             // Replay on the next replica with the *original*
@@ -697,9 +678,7 @@ Router::evacuateDevice(unsigned device)
                 cisram_warn(
                     "fleet: query #", qid, " shard ", ss.shard,
                      " lost its last replica: ", st.message());
-                qs.failed = true;
-                sub.done = true;
-                --qs.remaining;
+                markUnroutable(qs, ss.shard);
             }
         }
     }

@@ -30,8 +30,8 @@
  *    original admission timestamps. Journal ids are namespaced per
  *    device ((device+1) << 48 | (shard+1) << 32 | query), so the
  *    replica's journal admits the replay as a fresh id while the
- *    router's fleet-level ledger still completes the *query*
- *    exactly once. Zero drops: an admission only ever fails loudly
+ *    router's per-query state still completes the *query* exactly
+ *    once. Zero drops: an admission only ever fails loudly
  *    (ResourceExhausted) when every replica refuses it.
  *
  * Latency accounting reuses the flight-recorder contract: for every
@@ -138,9 +138,6 @@ struct FleetOutcome
     uint64_t id = 0;
     bool ok = false;
 
-    /** Global chunk ids of the merged top-k (functional mode). */
-    std::vector<uint32_t> ids;
-
     /** Merged scored hits, global ids (functional mode). */
     std::vector<baseline::Hit> hits;
 
@@ -169,12 +166,12 @@ struct FleetOutcome
 /**
  * The fleet router. Single-threaded by design (determinism comes
  * from simulated clocks, like every serving layer below it); one
- * router owns its devices, servers, fabric, and ledger.
+ * router owns its devices, servers, fabric, and per-query state.
  *
  * Usage mirrors DeviceServer one level up:
  *   router.admit(id, query, arrival);
- *   for (auto &o : router.pump()) ...   // merged outcomes
- *   for (auto &o : router.drain()) ...  // flush + failover
+ *   for (auto &o : router.pumpUntil(now)) ... // merged outcomes
+ *   for (auto &o : router.drain()) ...        // flush + failover
  */
 class Router
 {
@@ -198,14 +195,12 @@ class Router
                  kernels::RagSearchParams search = {},
                  kernels::AdmitClass cls = {});
 
-    /** Serve ready batches fleet-wide; merged outcomes, id order. */
-    std::vector<FleetOutcome> pump();
-
     /**
-     * pump() for open-loop traffic: also closes out batches whose
-     * oldest admission has aged past the servers'
+     * Serve ready batches fleet-wide, closing out those whose oldest
+     * admission has aged past the servers'
      * BatchPolicy::maxLingerSeconds as of observed arrival clock
-     * `now` (see DeviceServer::pumpUntil).
+     * `now` (see DeviceServer::pumpUntil); merged outcomes of the
+     * queries that finished, in admission order.
      */
     std::vector<FleetOutcome> pumpUntil(double now);
 
@@ -250,7 +245,7 @@ class Router
      * Serve everything outstanding: drains every live device
      * (their own ladders may reset + replay internally), evacuates
      * and replays dead devices' in-flight queries on replicas, and
-     * merges. On return the fleet ledger is empty — every admitted
+     * merges. On return nothing is outstanding — every admitted
      * query has exactly one merged outcome.
      */
     std::vector<FleetOutcome> drain();
@@ -292,12 +287,13 @@ class Router
         return flight_;
     }
 
-    /** Fleet-ledger introspection (exactly-once verification). */
-    size_t ledgerOutstanding() const
-    {
-        return ledger_.outstanding();
-    }
-    size_t ledgerAdmitted() const { return ledger_.admitted(); }
+    /**
+     * Exactly-once introspection over the admitted queries: a quota
+     * shed is never admitted; an unroutable query is, and completes
+     * as not-ok. Outstanding = admitted but not yet merged.
+     */
+    size_t ledgerOutstanding() const;
+    size_t ledgerAdmitted() const { return queries_.size(); }
 
     /** Shard re-routes taken fleet-wide (admission + evacuation). */
     uint64_t failovers() const { return failovers_; }
@@ -401,11 +397,21 @@ class Router
                          double admit_seconds,
                          double not_before = 0);
 
+    /** Count one re-route of `sub` away from `device`. */
+    void countFailover(SubState &sub, unsigned device);
+
+    /**
+     * `shard` has no replica left for `qs`: the sub-query is done
+     * and the query completes (once) as not-ok, its flight naming
+     * the unroutable shard.
+     */
+    void markUnroutable(QueryState &qs, unsigned shard);
+
     /** Fold one server's served outcomes into the scatter states. */
     void collect(unsigned device,
                  std::vector<kernels::ServeOutcome> outs);
 
-    /** Merge a fully-gathered query; completes the ledger. */
+    /** Merge a fully-gathered query and complete it, exactly once. */
     FleetOutcome finishQuery(QueryState &qs);
 
     /** Finished-and-unreported queries, in admission order. */
@@ -422,7 +428,6 @@ class Router
     Fabric fabric_;
     std::vector<FleetDevice> fleet_;
     std::vector<kernels::CircuitBreaker> routerBreakers_;
-    recovery::ReplayJournal<kernels::QueryPayload> ledger_;
     obs::FlightRecorder flight_;
     std::vector<QueryState> queries_; ///< admission order
     std::unordered_map<uint64_t, size_t> queryIndex_;

@@ -1,6 +1,7 @@
 #include "kernels/serving.hh"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/bitutils.hh"
@@ -191,14 +192,6 @@ DeviceServer::DeviceServer(apu::ApuDevice &dev, RagCorpusSpec spec,
 }
 
 Status
-DeviceServer::enqueue(uint64_t id, std::vector<int16_t> embedding,
-                      RagSearchParams search, AdmitClass cls)
-{
-    return enqueueAt(id, std::move(embedding), busySeconds_,
-                     search, std::move(cls));
-}
-
-Status
 DeviceServer::enqueueAt(uint64_t id, std::vector<int16_t> embedding,
                         double admit_seconds,
                         RagSearchParams search, AdmitClass cls)
@@ -224,7 +217,7 @@ DeviceServer::enqueueAt(uint64_t id, std::vector<int16_t> embedding,
         if (health_.observeShed() && resets_ < cfg_.maxResets) {
             // The quarantine has aged out: pay the reset now, then
             // admit — the core comes back Healthy.
-            performReset();
+            forceReset();
         } else {
             reg.counter("recovery.shed", shed_labels("quarantine"))
                 .inc();
@@ -325,22 +318,13 @@ DeviceServer::forceQuarantine()
 }
 
 std::vector<ServeOutcome>
-DeviceServer::pump()
-{
-    std::vector<ServeOutcome> served;
-    while (former_.batchReady()) {
-        auto outs = serveBatch(former_.takeBatch(), true, true);
-        served.insert(served.end(),
-                      std::make_move_iterator(outs.begin()),
-                      std::make_move_iterator(outs.end()));
-    }
-    return served;
-}
-
-std::vector<ServeOutcome>
 DeviceServer::drain()
 {
-    std::vector<ServeOutcome> served = pump();
+    // Ship the count-ready batches first, parking allowed: an
+    // arrival clock of -infinity closes nothing out, so this phase
+    // never moves the core's clock.
+    std::vector<ServeOutcome> served =
+        pumpUntil(-std::numeric_limits<double>::infinity());
     // Escalation loop: serve the queue; if parked work remains on a
     // quarantined core, reset + replay (bounded); past the reset
     // budget, force the remainder through the CPU fallback. Every
@@ -349,8 +333,7 @@ DeviceServer::drain()
         bool allow_park =
             cfg_.health.enabled && resets_ < cfg_.maxResets;
         while (!former_.empty()) {
-            auto outs =
-                serveBatch(former_.takeBatch(), true, allow_park);
+            auto outs = serveBatch(former_.takeBatch(), allow_park);
             served.insert(served.end(),
                           std::make_move_iterator(outs.begin()),
                           std::make_move_iterator(outs.end()));
@@ -364,20 +347,30 @@ DeviceServer::drain()
         if (cfg_.health.enabled &&
             health_.state() == recovery::CoreState::Quarantined &&
             resets_ < cfg_.maxResets) {
-            performReset(); // re-admits the parked queries
+            forceReset(); // re-admits the parked queries
             continue;
         }
         // Reset budget exhausted (or health disabled): re-admit
         // whatever is still parked and serve it without parking —
         // the CPU fallback guarantees delivery.
-        auto pend = journal_.pending();
-        former_ = BatchFormer(cfg_.batch);
-        for (const auto *e : pend)
-            former_.admit(PendingQuery{e->id, e->payload.embedding,
-                                       e->admitSeconds,
-                                       e->payload.search,
-                                       e->payload.cls});
+        requeuePending();
     }
+}
+
+std::vector<uint64_t>
+DeviceServer::requeuePending()
+{
+    // In admission order, with their original admit times. The
+    // entries stay journaled: only delivery completes them.
+    former_ = BatchFormer(cfg_.batch);
+    std::vector<uint64_t> ids;
+    for (const auto *e : journal_.pending()) {
+        former_.admit(PendingQuery{e->id, e->payload.embedding,
+                                   e->admitSeconds, e->payload.search,
+                                   e->payload.cls});
+        ids.push_back(e->id);
+    }
+    return ids;
 }
 
 std::vector<ServeOutcome>
@@ -393,7 +386,7 @@ DeviceServer::pumpUntil(double now)
                 now, former_.frontAdmitSeconds() +
                          cfg_.batch.maxLingerSeconds));
         }
-        auto outs = serveBatch(former_.takeBatch(), true, true);
+        auto outs = serveBatch(former_.takeBatch(), true);
         served.insert(served.end(),
                       std::make_move_iterator(outs.begin()),
                       std::make_move_iterator(outs.end()));
@@ -463,19 +456,6 @@ DeviceServer::applyMutation(const RagCorpusSpec &epoch_spec,
     return served;
 }
 
-ServeOutcome
-DeviceServer::serve(const std::vector<int16_t> &query,
-                    RagSearchParams search)
-{
-    cisram_assert(query.size() == spec_.dim, "query dim mismatch");
-    cisram_assert(search.nprobe == 0 || cfg_.ivf.enabled,
-                  "serve() requests nprobe=", search.nprobe,
-                  " but the server has no IVF clustering");
-    std::vector<PendingQuery> one;
-    one.push_back(PendingQuery{0, query, busySeconds_, search});
-    return serveBatch(std::move(one), false, false)[0];
-}
-
 uint64_t
 DeviceServer::restageBytes() const
 {
@@ -486,14 +466,13 @@ DeviceServer::restageBytes() const
 }
 
 gdl::ResetOutcome
-DeviceServer::performReset()
+DeviceServer::forceReset()
 {
     if (cfg_.health.enabled) {
         if (health_.state() != recovery::CoreState::Quarantined)
             health_.forceQuarantine();
         health_.beginReset();
     }
-    auto pend = journal_.pending();
     double resetStart = busySeconds_;
 
     // Tear down the device footprint in reverse allocation order,
@@ -511,48 +490,30 @@ DeviceServer::performReset()
 
     // A reset core has no failure history: fresh breaker, and the
     // parked queries go back through batch formation with their
-    // original admission timestamps (exactly-once: they are still
-    // journaled, and only delivery completes them).
+    // original admission timestamps.
     breaker_ = CircuitBreaker(cfg_.breakerThreshold,
                               cfg_.breakerCooldown);
-    former_ = BatchFormer(cfg_.batch);
-    for (const auto *e : pend)
-        former_.admit(PendingQuery{e->id, e->payload.embedding,
-                                   e->admitSeconds,
-                                   e->payload.search,
-                                   e->payload.cls});
-    replayed_ += pend.size();
+    std::vector<uint64_t> replayed = requeuePending();
+    replayed_ += replayed.size();
     ++resets_;
-    if (flight_.enabled()) {
-        // Reset time is charged to the core clock, not to any one
-        // query's served latency — it surfaces as queue wait in the
-        // replayed queries' final rounds. The flow arrows tie each
-        // replay back to the reset that caused it.
-        std::vector<uint64_t> ids;
-        ids.reserve(pend.size());
-        for (const auto *e : pend)
-            ids.push_back(e->id);
-        flight_.recordReset(resets_, resetStart, out.seconds, ids);
-    }
+    // Reset time is charged to the core clock, not to any one
+    // query's served latency — it surfaces as queue wait in the
+    // replayed queries' final rounds. The flow arrows tie each
+    // replay back to the reset that caused it.
+    flight_.recordReset(resets_, resetStart, out.seconds, replayed);
     metrics::Registry::get()
         .counter("recovery.replayed_queries",
                  {{"device", std::to_string(cfg_.deviceIndex)},
                   {"core", std::to_string(core_)}})
-        .inc(static_cast<double>(pend.size()));
+        .inc(static_cast<double>(replayed.size()));
     if (cfg_.health.enabled)
         health_.completeReset();
     return out;
 }
 
-gdl::ResetOutcome
-DeviceServer::forceReset()
-{
-    return performReset();
-}
-
 std::vector<ServeOutcome>
 DeviceServer::serveBatch(std::vector<PendingQuery> batch,
-                         bool journaled, bool allow_park)
+                         bool allow_park)
 {
     size_t b = batch.size();
     cisram_assert(b >= 1, "serveBatch needs at least one query");
@@ -567,7 +528,7 @@ DeviceServer::serveBatch(std::vector<PendingQuery> batch,
     bool quarantined =
         cfg_.health.enabled &&
         health_.state() == recovery::CoreState::Quarantined;
-    if (quarantined && journaled && allow_park) {
+    if (quarantined && allow_park) {
         // The core is already known-bad: park the whole batch
         // untouched (it stays outstanding in the journal) and let
         // drain() escalate to the reset instead of burning retry
@@ -589,7 +550,7 @@ DeviceServer::serveBatch(std::vector<PendingQuery> batch,
         reg.histogram("serving.queue_wait_seconds")
             .observe(outs[q].queueWaitSeconds);
     }
-    bool record = journaled && flight_.enabled();
+    bool record = flight_.enabled();
     if (record) {
         // One service round per query; the recorded wait duration is
         // the exact double assigned to queueWaitSeconds above, so the
@@ -713,7 +674,7 @@ DeviceServer::serveBatch(std::vector<PendingQuery> batch,
                 health_.observeFaults(d);
                 if (health_.state() ==
                         recovery::CoreState::Quarantined &&
-                    journaled && allow_park) {
+                    allow_park) {
                     parked = true;
                     break;
                 }
@@ -766,10 +727,8 @@ DeviceServer::serveBatch(std::vector<PendingQuery> batch,
         ? elapsed
         : 0.75 * batchSecondsEwma_ + 0.25 * elapsed;
 
-    if (journaled) {
-        for (const auto &o : outs)
-            journal_.complete(o.id);
-    }
+    for (const auto &o : outs)
+        journal_.complete(o.id);
     if (record)
         for (const auto &o : outs)
             flight_.complete(o.id,
@@ -828,22 +787,34 @@ DeviceServer::tryDeviceBatch(const std::vector<PendingQuery> &batch,
         if (!r.status.ok())
             return r.status;
 
-    // Read the staged ids back: the exact staged count in
-    // functional mode (0 is a real answer — an empty metadata
-    // filter yields no survivors, and reading topK anyway would
-    // surface stale buffer contents as ids), fixed-size in timing
-    // mode (no functional results exist to count).
+    // Read the staged ids back (charged PCIe time, and a fault
+    // site): the exact staged count in functional mode (0 is a real
+    // answer — an empty metadata filter yields no survivors, and
+    // reading topK anyway would surface stale buffer contents as
+    // ids), fixed-size in timing mode (no functional results exist
+    // to count). Callers read run.hits, so in functional mode the
+    // read-back must be exactly its ids.
     bool functional = dev_.core(core_).functional();
+    std::vector<uint32_t> ids;
     for (size_t q = 0; q < b; ++q) {
         size_t n = functional ? rs[q].topkIdsCount : cfg_.topK;
-        outs[q].ids.assign(n, 0);
+        ids.assign(n, 0);
         if (n > 0) {
             st = host_.tryMemCpyFromDev(
-                outs[q].ids.data(),
-                gdl::MemHandle{rs[q].topkIdsAddr},
+                ids.data(), gdl::MemHandle{rs[q].topkIdsAddr},
                 n * sizeof(uint32_t));
             if (!st.ok())
                 return st;
+        }
+        if (functional) {
+            cisram_assert(rs[q].hits.size() == n, "query #",
+                          batch[q].id, ": ", n, " staged ids but ",
+                          rs[q].hits.size(), " hits");
+            for (size_t i = 0; i < n; ++i)
+                cisram_assert(ids[i] == rs[q].hits[i].id, "query #",
+                              batch[q].id, ": staged id ", ids[i],
+                              " at rank ", i, " but hit ",
+                              rs[q].hits[i].id);
         }
         outs[q].run = rs[q];
     }
@@ -879,9 +850,6 @@ DeviceServer::cpuFallback(const std::vector<int16_t> &query,
                 cfg_.topK, search.filterMask);
         else
             hits = golden_->search(query.data(), cfg_.topK);
-        out.ids.clear();
-        for (const auto &h : hits)
-            out.ids.push_back(static_cast<uint32_t>(h.id));
         out.run.hits = std::move(hits);
     }
     // Xeon cost scales with the bytes actually scanned: a probe-

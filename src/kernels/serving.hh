@@ -169,7 +169,7 @@ struct PendingQuery
 
     /**
      * Core-local simulated time at admission (set by
-     * DeviceServer::enqueue); the batch former itself never reads
+     * DeviceServer::enqueueAt); the batch former itself never reads
      * it. Queue wait = service start time - this.
      */
     double admitSeconds = 0;
@@ -298,12 +298,11 @@ class BatchFormer
 /** How one query was answered. */
 struct ServeOutcome
 {
-    uint64_t id = 0;           ///< PendingQuery id (0 for serve())
+    uint64_t id = 0;       ///< PendingQuery id
     bool ok = false;
     bool fromDevice = false;
-    unsigned attempts = 0;     ///< device attempts made (per batch)
-    size_t batchSize = 1;      ///< queries in the batch it shipped in
-    std::vector<uint32_t> ids; ///< host-visible top-k ids
+    unsigned attempts = 0; ///< device attempts made (per batch)
+    size_t batchSize = 1;  ///< queries in the batch it shipped in
 
     /**
      * Device result. In functional mode `run.hits` carries the exact
@@ -429,12 +428,13 @@ struct ServerConfig
  * each core owns one of each). Driven by exactly one shard thread.
  *
  * Pipeline usage:
- *   server.enqueue(id, embedding);     // admit
- *   for (auto &o : server.pump()) ...  // serve ready batches
- *   for (auto &o : server.drain()) ... // flush the tail
+ *   server.enqueueAt(id, embedding, t);        // admit at clock t
+ *   for (auto &o : server.pumpUntil(now)) ... // serve ready batches
+ *   for (auto &o : server.drain()) ...        // flush the tail
  *
- * serve() is the synchronous single-query path (no queue), used by
- * probes and tests.
+ * There is no other way in or out: every query the server answers
+ * was admitted into the journal, and owns a flight whenever the
+ * recorder is enabled.
  */
 class DeviceServer
 {
@@ -449,28 +449,23 @@ class DeviceServer
                  uint64_t corpus_seed, ServerConfig cfg = {});
 
     /**
-     * Admit one query into this core's queue. OK on admission;
-     * ResourceExhausted when the admission policy sheds it (queue
-     * full, predicted delay over budget) or the core is Quarantined
-     * — the caller re-routes or reports, but the query is never
-     * silently dropped. With the default (disabled) health and
-     * admission policies every call returns OK. `search` carries the
-     * query's index params (nprobe > 0 requires cfg.ivf.enabled).
-     * `cls` is the tenant + SLO class the query admits under; with
-     * AdmissionPolicy::sloClasses set, lower classes see tighter
-     * caps and shed first.
-     */
-    Status enqueue(uint64_t id, std::vector<int16_t> embedding,
-                   RagSearchParams search = {}, AdmitClass cls = {});
-
-    /**
-     * Admit with an explicit admission timestamp instead of this
-     * core's current busy clock — the failover path replays
-     * journaled queries on a replica with their *original* admit
-     * times, so queue-wait math (and therefore served latency) is
-     * identical to the run that never lost the device. Callers must
-     * advanceClock() past `admit_seconds` first if the replica's
-     * clock is behind the originating device's.
+     * Admit one query into this core's queue, journaled at simulated
+     * time `admit_seconds`: busySeconds() for a query that arrives
+     * at this core now, or a journaled query's *original* admit time
+     * when the failover path replays it on a replica, so queue-wait
+     * math (and therefore served latency) is identical to the run
+     * that never lost the device. Callers must advanceClock() past
+     * `admit_seconds` first if this core's clock is behind it.
+     *
+     * OK on admission; ResourceExhausted when the admission policy
+     * sheds it (queue full, predicted delay over budget) or the core
+     * is Quarantined — the caller re-routes or reports, but the
+     * query is never silently dropped. With the default (disabled)
+     * health and admission policies every call returns OK. `search`
+     * carries the query's index params (nprobe > 0 requires
+     * cfg.ivf.enabled). `cls` is the tenant + SLO class the query
+     * admits under; with AdmissionPolicy::sloClasses set, lower
+     * classes see tighter caps and shed first.
      */
     Status enqueueAt(uint64_t id, std::vector<int16_t> embedding,
                      double admit_seconds,
@@ -504,16 +499,15 @@ class DeviceServer
      */
     void forceQuarantine();
 
-    /** Serve every currently ready batch; outcomes in query order. */
-    std::vector<ServeOutcome> pump();
-
     /**
-     * pump() for open-loop traffic: also ships batches whose oldest
-     * pending query has aged past BatchPolicy::maxLingerSeconds as
-     * of the observed arrival clock `now`. Service of a lingered
-     * batch cannot start before its close-out instant (the core's
-     * clock is ratcheted there first), so served latency is
-     * independent of how often the driver polls.
+     * Serve every ready batch (BatchFormer::batchReady), plus those
+     * whose oldest pending query has aged past
+     * BatchPolicy::maxLingerSeconds as of the observed arrival clock
+     * `now`; outcomes in query order. Service of a lingered batch
+     * cannot start before its close-out instant (the core's clock is
+     * ratcheted there first), so served latency is independent of
+     * how often the driver polls. With maxLingerSeconds unset, `now`
+     * changes nothing.
      */
     std::vector<ServeOutcome> pumpUntil(double now);
 
@@ -547,10 +541,6 @@ class DeviceServer
      * one outcome.
      */
     std::vector<ServeOutcome> drain();
-
-    /** Synchronous single-query serve (bypasses the queue). */
-    ServeOutcome serve(const std::vector<int16_t> &query,
-                       RagSearchParams search = {});
 
     /**
      * Cumulative simulated seconds this core has spent serving
@@ -598,9 +588,9 @@ class DeviceServer
     }
 
     /**
-     * Reset this core now (bench/chaos tooling): quarantine it if
-     * the health policy is enabled, then run the full reset +
-     * re-stage + replay choreography regardless.
+     * Reset this core now: quarantine it if the health policy is
+     * enabled, then run the full reset + re-stage + journal-replay
+     * choreography regardless (drain() escalates through it).
      */
     gdl::ResetOutcome forceReset();
 
@@ -614,23 +604,22 @@ class DeviceServer
 
   private:
     /**
-     * Serve one formed batch through the fault-tolerant path.
-     * `journaled` marks queries tracked in the admission journal
-     * (pipeline path); `allow_park` lets the batch park un-served
-     * when the core quarantines mid-retry (drain() escalates it).
-     * A parked batch returns no outcomes.
+     * Serve one formed batch of journaled queries through the
+     * fault-tolerant path. `allow_park` lets the batch park un-served
+     * when the core is or becomes Quarantined (drain() escalates
+     * it). A parked batch returns no outcomes.
      */
     std::vector<ServeOutcome>
-    serveBatch(std::vector<PendingQuery> batch, bool journaled,
-               bool allow_park);
+    serveBatch(std::vector<PendingQuery> batch, bool allow_park);
 
-    /** The reset + re-stage + journal-replay choreography. */
-    gdl::ResetOutcome performReset();
+    /** Re-queue every pending journal entry; returns their ids. */
+    std::vector<uint64_t> requeuePending();
 
     /**
      * One whole-batch device attempt: stage the queries over PCIe,
      * run retrieveBatch under the deadline, read the staged top-k
-     * ids back. On success fills outs[*].{ids,run}.
+     * ids back (functional mode: they must equal run.hits' ids). On
+     * success fills outs[*].run.
      */
     Status tryDeviceBatch(const std::vector<PendingQuery> &batch,
                           std::vector<ServeOutcome> &outs);
@@ -656,7 +645,7 @@ class DeviceServer
     baseline::XeonTimingModel xeon_;
     dram::DramSystem hbm_;
 
-    // Rebuilt by performReset (a reset loses the device footprint);
+    // Rebuilt by forceReset (a reset loses the device footprint);
     // unique_ptr/optional so teardown and re-construction run in the
     // original allocation order, which the DramAllocator's free-list
     // recycling turns into identical addresses — the replay

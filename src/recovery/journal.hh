@@ -37,7 +37,6 @@ struct JournalEntry
     Payload payload;
     double admitSeconds; ///< sim-clock admission time, preserved
     bool completed = false;
-    bool handedOff = false; ///< ownership moved to another journal
 };
 
 /**
@@ -72,11 +71,11 @@ class ReplayJournal
     /**
      * Evacuate every admitted-but-incomplete entry: returns copies
      * (id, payload, original admitSeconds) in admission order and
-     * marks each handed off, which also completes it here —
-     * exactly-once responsibility now rests with whichever journal
-     * re-admits the entry (a replica device after a failover). The
-     * caller must re-admit under a *different* namespaced id, or the
-     * fleet-level ledger loses the one-outcome-per-query guarantee.
+     * completes each here — exactly-once responsibility now rests
+     * with whichever journal re-admits the entry (a replica device
+     * after a failover). The caller must re-admit under a
+     * *different* namespaced id, or its own per-query bookkeeping
+     * loses the one-outcome-per-query guarantee.
      */
     std::vector<JournalEntry<Payload>>
     handOffPending()
@@ -87,20 +86,8 @@ class ReplayJournal
                 continue;
             out.push_back(e);
             e.completed = true;
-            e.handedOff = true;
         }
         return out;
-    }
-
-    /** Entries handed off to another journal, lifetime. */
-    size_t
-    handedOff() const
-    {
-        size_t n = 0;
-        for (const auto &e : entries_)
-            if (e.handedOff)
-                ++n;
-        return n;
     }
 
     /** Admitted-but-incomplete entries, in admission order. */
@@ -135,12 +122,6 @@ class ReplayJournal
             if (e.id == id)
                 return &e;
         return nullptr;
-    }
-
-    const JournalEntry<Payload> *
-    find(uint64_t id) const
-    {
-        return const_cast<ReplayJournal *>(this)->find(id);
     }
 
     std::vector<JournalEntry<Payload>> entries_;

@@ -319,14 +319,10 @@ struct FleetFixture
         return cfg;
     }
 
-    std::vector<uint32_t>
+    std::vector<baseline::Hit>
     golden(int q) const
     {
-        auto hits = global.search(query(q).data(), 5);
-        std::vector<uint32_t> ids;
-        for (const auto &h : hits)
-            ids.push_back(static_cast<uint32_t>(h.id));
-        return ids;
+        return global.search(query(q).data(), 5);
     }
 };
 
@@ -360,7 +356,7 @@ TEST(Router, MergedTopKMatchesTheUnshardedIndex)
         const FleetOutcome &out = outs[q];
         EXPECT_TRUE(out.ok);
         EXPECT_EQ(out.failovers, 0u);
-        EXPECT_EQ(out.ids, fx.golden(q)) << "query " << q;
+        EXPECT_EQ(out.hits, fx.golden(q)) << "query " << q;
         // Latency re-adds from its parts bit-exactly.
         EXPECT_EQ(out.latencySeconds,
                   (0.0 + out.gatherSeconds) + out.hostSeconds);
@@ -379,7 +375,7 @@ TEST(Router, AnswersAreBitIdenticalAcrossFleetSizes)
     // identically, and all match the global index.
     FleetFixture fx;
     const int kQueries = 4;
-    std::vector<std::vector<uint32_t>> byFleet;
+    std::vector<std::vector<baseline::Hit>> byFleet;
     for (unsigned n : {1u, 2u, 4u}) {
         Router router(fx.corpus, fx.seed, fx.config(n, 1));
         for (int q = 0; q < kQueries; ++q)
@@ -393,17 +389,17 @@ TEST(Router, AnswersAreBitIdenticalAcrossFleetSizes)
                   [](const FleetOutcome &a, const FleetOutcome &b) {
                       return a.id < b.id;
                   });
-        std::vector<uint32_t> flat;
+        std::vector<baseline::Hit> flat;
         for (const auto &o : outs)
-            flat.insert(flat.end(), o.ids.begin(), o.ids.end());
+            flat.insert(flat.end(), o.hits.begin(), o.hits.end());
         byFleet.push_back(std::move(flat));
     }
     EXPECT_EQ(byFleet[0], byFleet[1]);
     EXPECT_EQ(byFleet[0], byFleet[2]);
     for (int q = 0; q < kQueries; ++q) {
         auto want = fx.golden(q);
-        std::vector<uint32_t> got(byFleet[0].begin() + q * 5,
-                                  byFleet[0].begin() + q * 5 + 5);
+        std::vector<baseline::Hit> got(byFleet[0].begin() + q * 5,
+                                       byFleet[0].begin() + q * 5 + 5);
         EXPECT_EQ(got, want) << "query " << q;
     }
 }
@@ -419,7 +415,7 @@ TEST(Router, KillDeviceFailsOverWithExactlyOnceDelivery)
     const int kWave = 8;
 
     // Clean reference run: same fleet shape, no kill.
-    std::vector<std::vector<uint32_t>> clean;
+    std::vector<std::vector<baseline::Hit>> clean;
     {
         Router router(fx.corpus, fx.seed, fx.config(4, 2));
         for (int q = 0; q < kWave; ++q)
@@ -427,7 +423,7 @@ TEST(Router, KillDeviceFailsOverWithExactlyOnceDelivery)
                             .admit(static_cast<uint64_t>(q + 1),
                                    fx.query(q))
                             .ok());
-        auto outs = router.pump();
+        auto outs = router.pumpUntil(0.0);
         double t = router.makespanSeconds();
         for (int q = 0; q < kWave; ++q)
             ASSERT_TRUE(router
@@ -441,7 +437,7 @@ TEST(Router, KillDeviceFailsOverWithExactlyOnceDelivery)
                       return a.id < b.id;
                   });
         for (const auto &o : outs)
-            clean.push_back(o.ids);
+            clean.push_back(o.hits);
         ASSERT_EQ(clean.size(), 2u * kWave);
     }
 
@@ -452,7 +448,7 @@ TEST(Router, KillDeviceFailsOverWithExactlyOnceDelivery)
         ASSERT_TRUE(
             router.admit(static_cast<uint64_t>(q + 1), fx.query(q))
                 .ok());
-    auto outs = router.pump();
+    auto outs = router.pumpUntil(0.0);
     double t = router.makespanSeconds();
     for (int q = 0; q < kWave; ++q)
         ASSERT_TRUE(router
@@ -482,7 +478,7 @@ TEST(Router, KillDeviceFailsOverWithExactlyOnceDelivery)
         EXPECT_TRUE(outs[i].ok) << "query #" << outs[i].id;
         EXPECT_TRUE(ids.insert(outs[i].id).second)
             << "duplicate outcome #" << outs[i].id;
-        EXPECT_EQ(outs[i].ids, clean[i])
+        EXPECT_EQ(outs[i].hits, clean[i])
             << "query #" << outs[i].id;
     }
 
@@ -520,7 +516,7 @@ TEST(Router, StickyLinkDropRoutesAroundTheDeadDevice)
               });
     for (int q = 0; q < 4; ++q) {
         EXPECT_TRUE(outs[q].ok);
-        EXPECT_EQ(outs[q].ids, fx.golden(q)) << "query " << q;
+        EXPECT_EQ(outs[q].hits, fx.golden(q)) << "query " << q;
     }
     EXPECT_TRUE(router.fabric().wedged(0));
 }
@@ -609,6 +605,7 @@ TEST(Router, TenantQuotaShedsLoudlyAndReleasesOnCompletion)
     Status st = router.admit(3, fx.query(2), 0.0, {}, acme);
     EXPECT_EQ(st.code(), StatusCode::ResourceExhausted);
     EXPECT_EQ(shed.value() - shed_before, 1.0);
+    EXPECT_EQ(router.ledgerAdmitted(), 2u);
 
     // Other tenants are untouched by acme's quota.
     ASSERT_TRUE(router
@@ -714,49 +711,76 @@ TEST(Router, ScatterMergeAndClassMetricsCarryTenantLabels)
 
 TEST(Router, UnroutableShardCompletesItsFlightExactlyOnce)
 {
-    // Depth-1 replica queues and a long linger keep the first
-    // admission queued, so the next two shed at every replica of
-    // their shard (R = 1: there is no other) — the shard is
-    // unroutable and each query fails loudly.
+    // Two ways a shard runs out of replicas (R = 1: there is no
+    // other). Shed at admission: depth-1 replica queues and a long
+    // linger keep the first admission queued, so the next two shed
+    // and fail loudly. Killed: all three sit queued when the device
+    // holding shard 0 dies, so each fails at evacuation.
+    for (bool kill : {false, true}) {
+        SCOPED_TRACE(kill ? "killed with no replica"
+                          : "shed at admission");
+        FleetConfig cfg;
+        cfg.devices = 2;
+        cfg.replicas = 1;
+        cfg.shards = 2;
+        if (!kill)
+            cfg.server.admission.maxQueueDepth = 1;
+        cfg.server.batch.maxLingerAdmissions = 100;
+        cfg.flight.mode = obs::FlightConfig::Mode::On;
+        baseline::RagCorpusSpec corpus{"unroutable", 0, 4096, 368};
+        Router router(corpus, 4242, cfg);
+        for (uint64_t q = 1; q <= 3; ++q)
+            (void)router.admit(q, baseline::genQuery(corpus.dim, q),
+                               0.0);
+        if (kill)
+            router.killDevice(router.placement()[0][0]);
+
+        auto outs = router.drain();
+        ASSERT_EQ(outs.size(), 3u);
+        std::set<uint64_t> ids;
+        size_t failed = 0;
+        for (const FleetOutcome &o : outs) {
+            EXPECT_TRUE(ids.insert(o.id).second) << "query #" << o.id;
+            failed += o.ok ? 0 : 1;
+        }
+        EXPECT_EQ(failed, kill ? 3u : 2u);
+        // Unroutable queries were admitted, so each owed (and got)
+        // exactly one outcome.
+        EXPECT_EQ(router.ledgerAdmitted(), 3u);
+        EXPECT_EQ(router.ledgerOutstanding(), 0u);
+
+        // Every router flight completes once and reconciles; a
+        // failed one is marked not ok and its spans name the
+        // unroutable shard.
+        const obs::FlightRecorder &fr = router.flightRecorder();
+        EXPECT_EQ(fr.completedCount(), 3u);
+        EXPECT_EQ(fr.reconciledCount(), 3u);
+        for (const FleetOutcome &o : outs) {
+            const obs::QueryFlight *qf = fr.flight(o.id);
+            ASSERT_NE(qf, nullptr);
+            EXPECT_EQ(qf->state, obs::FlightState::Completed);
+            EXPECT_EQ(qf->ok, o.ok) << "query #" << o.id;
+            size_t unroutable = 0;
+            for (const obs::Span &sp : qf->finalRound()->spans)
+                unroutable +=
+                    sp.detail.find("unroutable") != std::string::npos;
+            EXPECT_EQ(unroutable > 0, !o.ok) << "query #" << o.id;
+        }
+    }
+}
+
+TEST(RouterDeathTest, DuplicateAdmissionDies)
+{
     FleetConfig cfg;
     cfg.devices = 2;
-    cfg.replicas = 1;
     cfg.shards = 2;
-    cfg.server.admission.maxQueueDepth = 1;
-    cfg.server.batch.maxLingerAdmissions = 100;
-    cfg.flight.mode = obs::FlightConfig::Mode::On;
-    baseline::RagCorpusSpec corpus{"unroutable", 0, 4096, 368};
+    baseline::RagCorpusSpec corpus{"duplicate", 0, 2048, 368};
     Router router(corpus, 4242, cfg);
-    for (uint64_t q = 1; q <= 3; ++q)
-        (void)router.admit(q, baseline::genQuery(corpus.dim, q), 0.0);
-
-    auto outs = router.drain();
-    ASSERT_EQ(outs.size(), 3u);
-    std::set<uint64_t> ids;
-    size_t failed = 0;
-    for (const FleetOutcome &o : outs) {
-        EXPECT_TRUE(ids.insert(o.id).second) << "query #" << o.id;
-        failed += o.ok ? 0 : 1;
-    }
-    EXPECT_EQ(failed, 2u);
-    EXPECT_EQ(router.ledgerOutstanding(), 0u);
-
-    // Every router flight completes once and reconciles; a failed
-    // one is marked not ok and its spans name the unroutable shard.
-    const obs::FlightRecorder &fr = router.flightRecorder();
-    EXPECT_EQ(fr.completedCount(), 3u);
-    EXPECT_EQ(fr.reconciledCount(), 3u);
-    for (const FleetOutcome &o : outs) {
-        const obs::QueryFlight *qf = fr.flight(o.id);
-        ASSERT_NE(qf, nullptr);
-        EXPECT_EQ(qf->state, obs::FlightState::Completed);
-        EXPECT_EQ(qf->ok, o.ok) << "query #" << o.id;
-        size_t unroutable = 0;
-        for (const obs::Span &sp : qf->finalRound()->spans)
-            unroutable +=
-                sp.detail.find("unroutable") != std::string::npos;
-        EXPECT_EQ(unroutable > 0, !o.ok) << "query #" << o.id;
-    }
+    ASSERT_TRUE(
+        router.admit(1, baseline::genQuery(corpus.dim, 1), 0.0).ok());
+    EXPECT_DEATH(
+        (void)router.admit(1, baseline::genQuery(corpus.dim, 2), 0.0),
+        "fleet: duplicate admission of query #1");
 }
 
 TEST(RouterDeathTest, MutationWithIvfServingDiesBeforeDraining)

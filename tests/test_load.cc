@@ -334,7 +334,8 @@ TEST(ServerMutation, DeviceAnswersBitCompareAgainstEachEpoch)
             auto query =
                 baseline::genQuery(base.dim, 800 + 10 * epoch + q);
             ASSERT_TRUE(
-                server.enqueue(first_id + q, query).ok());
+                server.enqueueAt(first_id + q, query,
+                                 server.busySeconds()).ok());
             auto outs = server.drain();
             ASSERT_EQ(outs.size(), 1u);
             EXPECT_TRUE(outs[0].ok);

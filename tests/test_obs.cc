@@ -130,7 +130,8 @@ TEST(FlightReconcile, CleanBatchedServing)
     std::vector<ServeOutcome> outs;
     for (uint64_t q = 0; q < 8; ++q)
         ASSERT_TRUE(
-            server.enqueue(q, genQuery(spec.dim, 10 + q)).ok());
+            server.enqueueAt(q, genQuery(spec.dim, 10 + q),
+                             server.busySeconds()).ok());
     for (auto &o : server.drain())
         outs.push_back(std::move(o));
     ASSERT_EQ(outs.size(), 8u);
@@ -189,7 +190,8 @@ TEST(FlightReconcile, RetriedAttemptStillBitExact)
     std::vector<ServeOutcome> outs;
     for (uint64_t q = 0; q < 4; ++q)
         ASSERT_TRUE(
-            server.enqueue(q, genQuery(spec.dim, 20 + q)).ok());
+            server.enqueueAt(q, genQuery(spec.dim, 20 + q),
+                             server.busySeconds()).ok());
     for (auto &o : server.drain())
         outs.push_back(std::move(o));
     ASSERT_EQ(outs.size(), 4u);
@@ -229,7 +231,8 @@ TEST(FlightReconcile, BreakerFallbackBitExact)
     std::vector<ServeOutcome> outs;
     for (uint64_t q = 0; q < 4; ++q)
         ASSERT_TRUE(
-            server.enqueue(q, genQuery(spec.dim, 30 + q)).ok());
+            server.enqueueAt(q, genQuery(spec.dim, 30 + q),
+                             server.busySeconds()).ok());
     for (auto &o : server.drain())
         outs.push_back(std::move(o));
     ASSERT_EQ(outs.size(), 4u);
@@ -261,10 +264,13 @@ TEST(FlightReconcile, ShedThenReadmittedBitExact)
     cfg.admission.maxQueueDepth = 2;
     DeviceServer server(dev, spec, 0, nullptr, 1, cfg);
 
-    ASSERT_TRUE(server.enqueue(0, genQuery(spec.dim, 40)).ok());
-    ASSERT_TRUE(server.enqueue(1, genQuery(spec.dim, 41)).ok());
+    ASSERT_TRUE(server.enqueueAt(0, genQuery(spec.dim, 40),
+                                 server.busySeconds()).ok());
+    ASSERT_TRUE(server.enqueueAt(1, genQuery(spec.dim, 41),
+                                 server.busySeconds()).ok());
     // Queue full: the third admission sheds loudly...
-    Status shed = server.enqueue(2, genQuery(spec.dim, 42));
+    Status shed = server.enqueueAt(2, genQuery(spec.dim, 42),
+                                   server.busySeconds());
     ASSERT_FALSE(shed.ok());
 
     // ...and the recorder saw it even though no flight is open yet.
@@ -280,7 +286,8 @@ TEST(FlightReconcile, ShedThenReadmittedBitExact)
     std::vector<ServeOutcome> outs;
     for (auto &o : server.drain())
         outs.push_back(std::move(o));
-    ASSERT_TRUE(server.enqueue(2, genQuery(spec.dim, 42)).ok());
+    ASSERT_TRUE(server.enqueueAt(2, genQuery(spec.dim, 42),
+                                 server.busySeconds()).ok());
     for (auto &o : server.drain())
         outs.push_back(std::move(o));
     ASSERT_EQ(outs.size(), 3u);
@@ -313,7 +320,8 @@ TEST(FlightReconcile, ResetReplayBitExact)
     std::vector<ServeOutcome> outs;
     for (uint64_t q = 0; q < 8; ++q)
         ASSERT_TRUE(
-            server.enqueue(q, genQuery(spec.dim, 50 + q)).ok());
+            server.enqueueAt(q, genQuery(spec.dim, 50 + q),
+                             server.busySeconds()).ok());
     for (auto &o : server.drain())
         outs.push_back(std::move(o));
     ASSERT_EQ(outs.size(), 8u);
@@ -378,8 +386,9 @@ runRecordedPipeline()
         auto shard = apu::shardOf(kQ, c, n);
         auto &server = *servers[c];
         for (size_t q = shard.begin; q < shard.end; ++q) {
-            Status st = server.enqueue(
-                q, genQuery(spec.dim, 70 + static_cast<int>(q)));
+            Status st = server.enqueueAt(
+                q, genQuery(spec.dim, 70 + static_cast<int>(q)),
+                server.busySeconds());
             cisram_assert(st.ok(), st.toString());
         }
         for (const auto &out : server.drain())
@@ -440,7 +449,8 @@ TEST(FlightRecorderCost, RecordingNeverChangesTiming)
         std::vector<double> served;
         for (uint64_t q = 0; q < 8; ++q)
             EXPECT_TRUE(
-                server.enqueue(q, genQuery(spec.dim, 80 + q)).ok());
+                server.enqueueAt(q, genQuery(spec.dim, 80 + q),
+                                 server.busySeconds()).ok());
         for (const auto &o : server.drain())
             served.push_back(o.servedSeconds());
         served.push_back(server.busySeconds());
@@ -467,20 +477,6 @@ TEST(FlightRecorderCost, DisabledRecorderIsInert)
     EXPECT_EQ(fr.flight(1), nullptr);
 }
 
-TEST(FlightRecorderCost, ServeBypassIsNotRecorded)
-{
-    // serve() bypasses the admission journal; the recorder tracks
-    // journaled queries only, by contract.
-    const auto &spec = ragCorpora()[0];
-    apu::ApuDevice dev;
-    dev.core(0).setMode(apu::ExecMode::TimingOnly);
-    DeviceServer server(dev, spec, 0, nullptr, 1,
-                        recordingConfig(4));
-    ServeOutcome out = server.serve(genQuery(spec.dim, 90));
-    EXPECT_TRUE(out.ok);
-    EXPECT_TRUE(server.flightRecorder().flights().empty());
-}
-
 // ---- Ledger JSON -------------------------------------------------------
 
 TEST(FlightLedger, JsonCarriesPerQueryVerdicts)
@@ -492,7 +488,8 @@ TEST(FlightLedger, JsonCarriesPerQueryVerdicts)
                         recordingConfig(4));
     for (uint64_t q = 0; q < 4; ++q)
         ASSERT_TRUE(
-            server.enqueue(q, genQuery(spec.dim, 95 + q)).ok());
+            server.enqueueAt(q, genQuery(spec.dim, 95 + q),
+                             server.busySeconds()).ok());
     server.drain();
 
     json::Value ledger = server.flightRecorder().ledgerJson();

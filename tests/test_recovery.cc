@@ -404,9 +404,12 @@ TEST(ServingAdmission, DepthBoundShedsAtTheDoor)
     cfg.admission.maxQueueDepth = 2;
     DeviceServer server(dev, spec, 0, nullptr, 1, cfg);
 
-    EXPECT_TRUE(server.enqueue(0, genQuery(spec.dim, 10)).ok());
-    EXPECT_TRUE(server.enqueue(1, genQuery(spec.dim, 11)).ok());
-    Status st = server.enqueue(2, genQuery(spec.dim, 12));
+    EXPECT_TRUE(server.enqueueAt(0, genQuery(spec.dim, 10),
+                                 server.busySeconds()).ok());
+    EXPECT_TRUE(server.enqueueAt(1, genQuery(spec.dim, 11),
+                                 server.busySeconds()).ok());
+    Status st = server.enqueueAt(2, genQuery(spec.dim, 12),
+                                 server.busySeconds());
     EXPECT_EQ(st.code(), StatusCode::ResourceExhausted);
     EXPECT_NE(st.message().find("admission queue full"),
               std::string::npos);
@@ -429,18 +432,21 @@ TEST(ServingAdmission, PredictedDelayOverBudgetSheds)
 
     // The predictor has no samples yet: the first query is admitted
     // and served, seeding the EWMA.
-    EXPECT_TRUE(server.enqueue(0, genQuery(spec.dim, 10)).ok());
-    EXPECT_EQ(server.pump().size(), 1u);
+    EXPECT_TRUE(server.enqueueAt(0, genQuery(spec.dim, 10),
+                                 server.busySeconds()).ok());
+    EXPECT_EQ(server.pumpUntil(server.busySeconds()).size(), 1u);
 
     // An idle queue predicts zero wait (ceil(0/maxBatch) batches
     // ahead), so even a nanosecond budget admits. The old floor+1
     // predictor shed here — DESIGN.md §7 boundary, also pinned by
     // tests/test_wordparallel.cc.
-    EXPECT_TRUE(server.enqueue(1, genQuery(spec.dim, 11)).ok());
+    EXPECT_TRUE(server.enqueueAt(1, genQuery(spec.dim, 11),
+                                 server.busySeconds()).ok());
 
     // With one query already waiting, the next rides a full batch
     // behind it — far longer than a nanosecond: shed.
-    Status st = server.enqueue(2, genQuery(spec.dim, 12));
+    Status st = server.enqueueAt(2, genQuery(spec.dim, 12),
+                                 server.busySeconds());
     EXPECT_EQ(st.code(), StatusCode::ResourceExhausted);
     EXPECT_NE(st.message().find("admission budget"),
               std::string::npos);
@@ -474,15 +480,17 @@ TEST(ServingRecovery, QuarantineShedsWithResourceExhausted)
     double shed_before = shed.value();
 
     // The first batch wedges the core mid-retry and parks.
-    EXPECT_TRUE(server.enqueue(1, genQuery(spec.dim, 1)).ok());
-    EXPECT_TRUE(server.pump().empty());
+    EXPECT_TRUE(server.enqueueAt(1, genQuery(spec.dim, 1),
+                                 server.busySeconds()).ok());
+    EXPECT_TRUE(server.pumpUntil(server.busySeconds()).empty());
     EXPECT_EQ(server.health().state(), CoreState::Quarantined);
     EXPECT_EQ(server.journalOutstanding(), 1u);
 
     // Quarantined + no reset budget: every admission sheds loudly.
     for (uint64_t q = 2; q <= 4; ++q) {
         Status st =
-            server.enqueue(q, genQuery(spec.dim, static_cast<int>(q)));
+            server.enqueueAt(q, genQuery(spec.dim, static_cast<int>(q)),
+                             server.busySeconds());
         EXPECT_EQ(st.code(), StatusCode::ResourceExhausted)
             << "query " << q;
         EXPECT_NE(st.message().find("quarantined"),
@@ -503,13 +511,31 @@ TEST(ServingRecovery, QuarantineShedsWithResourceExhausted)
 
 TEST(ServingRecovery, ForceResetReplaysToIdenticalAnswers)
 {
-    const auto &spec = ragCorpora()[0];
+    // Functional on a small corpus, so the reset must preserve the
+    // answer itself (checked against the exact golden), not only the
+    // timing.
+    RagCorpusSpec corpus{"unit", 0, 3000, 368};
+    const uint64_t seed = 2026;
     apu::ApuDevice dev;
-    dev.core(0).setMode(apu::ExecMode::TimingOnly);
-    DeviceServer server(dev, spec, 0, nullptr, 1, ServerConfig{});
+    IndexFlatI16 index(corpus.dim);
+    {
+        auto emb = genEmbeddings(corpus, 0, corpus.numChunks, seed);
+        index.add(emb.data(), corpus.numChunks);
+    }
+    DeviceServer server(dev, corpus, 0, &index, seed, ServerConfig{});
+    auto query = genQuery(corpus.dim, 42);
+    auto serve = [&](uint64_t id) {
+        EXPECT_TRUE(
+            server.enqueueAt(id, query, server.busySeconds()).ok());
+        auto outs = server.drain();
+        EXPECT_EQ(outs.size(), 1u);
+        return outs.empty() ? ServeOutcome{} : outs[0];
+    };
 
-    ServeOutcome before = server.serve(genQuery(spec.dim, 42));
+    ServeOutcome before = serve(1);
     ASSERT_TRUE(before.ok);
+    ASSERT_TRUE(before.fromDevice);
+    EXPECT_EQ(before.run.hits, index.search(query.data(), 5));
 
     gdl::ResetOutcome out = server.forceReset();
     EXPECT_GT(out.seconds, 0.0);
@@ -524,12 +550,11 @@ TEST(ServingRecovery, ForceResetReplaysToIdenticalAnswers)
 
     // The rebuilt footprint lands on the same addresses, so the
     // same query retrieves bit-identically after the reset.
-    ServeOutcome after = server.serve(genQuery(spec.dim, 42));
+    ServeOutcome after = serve(2);
     ASSERT_TRUE(after.ok);
-    EXPECT_EQ(after.fromDevice, before.fromDevice);
-    EXPECT_EQ(after.ids, before.ids);
-    EXPECT_DOUBLE_EQ(after.retrievalSeconds,
-                     before.retrievalSeconds);
+    EXPECT_TRUE(after.fromDevice);
+    EXPECT_EQ(after.run.hits, before.run.hits);
+    EXPECT_EQ(after.retrievalSeconds, before.retrievalSeconds);
 }
 
 TEST(ServingRecovery, PersistentHangEscalatesResetsAndReplays)
@@ -566,7 +591,8 @@ TEST(ServingRecovery, PersistentHangEscalatesResetsAndReplays)
         PlanGuard plan("task_hang:core=0,nth=2,sticky=1;seed:7");
         DeviceServer server(dev, corpus, 0, &index, seed, cfg);
         for (uint64_t q = 0; q < 8; ++q)
-            EXPECT_TRUE(server.enqueue(q, query(q)).ok());
+            EXPECT_TRUE(server.enqueueAt(q, query(q),
+                                         server.busySeconds()).ok());
         faulted = server.drain();
         resets = server.resets();
         replayed = server.replayedQueries();
@@ -594,7 +620,8 @@ TEST(ServingRecovery, PersistentHangEscalatesResetsAndReplays)
     {
         DeviceServer server(dev, corpus, 0, &index, seed, cfg);
         for (uint64_t q = 0; q < 8; ++q)
-            EXPECT_TRUE(server.enqueue(q, query(q)).ok());
+            EXPECT_TRUE(server.enqueueAt(q, query(q),
+                                         server.busySeconds()).ok());
         clean = server.drain();
     }
     ASSERT_EQ(clean.size(), 8u);
@@ -606,18 +633,13 @@ TEST(ServingRecovery, PersistentHangEscalatesResetsAndReplays)
         EXPECT_TRUE(faulted[i].fromDevice)
             << "query " << faulted[i].id;
         EXPECT_EQ(faulted[i].id, clean[i].id);
-        EXPECT_EQ(faulted[i].ids, clean[i].ids)
+        EXPECT_EQ(faulted[i].run.hits, clean[i].run.hits)
             << "query " << faulted[i].id;
     }
     // ...and those answers are the right ones.
-    for (const auto &o : clean) {
-        auto expect = index.search(query(o.id).data(), 5);
-        ASSERT_EQ(o.ids.size(), expect.size());
-        for (size_t i = 0; i < o.ids.size(); ++i)
-            EXPECT_EQ(o.ids[i],
-                      static_cast<uint32_t>(expect[i].id))
-                << "query " << o.id << " rank " << i;
-    }
+    for (const auto &o : clean)
+        EXPECT_EQ(o.run.hits, index.search(query(o.id).data(), 5))
+            << "query " << o.id;
 }
 
 // ---- Pipeline determinism with recovery in the loop --------------------
@@ -670,10 +692,12 @@ runRecoveringPipeline()
         for (size_t q = shard.begin; q < shard.end; ++q) {
             // Shed admissions would need re-routing; with unbounded
             // admission and a reset budget the enqueue always lands.
-            Status st = server.enqueue(
-                q, genQuery(spec.dim, 70 + static_cast<int>(q)));
+            Status st = server.enqueueAt(
+                q, genQuery(spec.dim, 70 + static_cast<int>(q)),
+                server.busySeconds());
             cisram_assert(st.ok(), st.toString());
-            for (const auto &out : server.pump())
+            for (const auto &out :
+                 server.pumpUntil(server.busySeconds()))
                 record(out);
         }
         for (const auto &out : server.drain())

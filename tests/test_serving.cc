@@ -411,15 +411,9 @@ struct ServingFixture
     }
 
     bool
-    matchesGolden(int q, const std::vector<uint32_t> &ids) const
+    matchesGolden(int q, const std::vector<Hit> &hits) const
     {
-        auto expect = index.search(query(q).data(), 5);
-        if (ids.size() != expect.size())
-            return false;
-        for (size_t i = 0; i < ids.size(); ++i)
-            if (ids[i] != static_cast<uint32_t>(expect[i].id))
-                return false;
-        return true;
+        return hits == index.search(query(q).data(), 5);
     }
 };
 
@@ -441,7 +435,8 @@ TEST(DeviceServerTest, PipelineServesCorrectAnswers)
     // blocking behind the first.
     std::vector<ServeOutcome> outs;
     for (int q = 0; q < 8; ++q)
-        server.enqueue(static_cast<uint64_t>(q), fx.query(q));
+        server.enqueueAt(static_cast<uint64_t>(q), fx.query(q),
+                         server.busySeconds());
     for (auto &o : server.drain())
         outs.push_back(std::move(o));
 
@@ -452,7 +447,7 @@ TEST(DeviceServerTest, PipelineServesCorrectAnswers)
         EXPECT_TRUE(out.fromDevice);
         EXPECT_EQ(out.batchSize, 4u);
         EXPECT_TRUE(
-            fx.matchesGolden(static_cast<int>(out.id), out.ids))
+            fx.matchesGolden(static_cast<int>(out.id), out.run.hits))
             << "query " << out.id;
     }
 
@@ -479,7 +474,6 @@ TEST(ServingBatch, DepthOneClosesOutAtExactlyTheLingerBound)
         server.enqueueAt(1, genQuery(spec.dim, 1), 1.0).ok());
     // Neither depth nor admission count is anywhere near shipping,
     // and the arrival clock has not reached the close-out instant.
-    EXPECT_TRUE(server.pump().empty());
     EXPECT_TRUE(server.pumpUntil(1.499).empty());
     // Poll PAST the bound: service still starts at the close-out
     // instant (admit + linger = 1.5), not at the polling instant,
@@ -529,6 +523,24 @@ TEST(ServingBatch, BurstThenSilenceShipsFullThenCloseOutTail)
 
 // ---- Latency accounting under injected faults --------------------------
 
+namespace {
+
+/** Admit one query at the server's clock and drain: its outcome. */
+ServeOutcome
+serveOne(DeviceServer &server, uint64_t id,
+         std::vector<int16_t> query)
+{
+    EXPECT_TRUE(server
+                    .enqueueAt(id, std::move(query),
+                               server.busySeconds())
+                    .ok());
+    auto outs = server.drain();
+    EXPECT_EQ(outs.size(), 1u);
+    return outs.empty() ? ServeOutcome{} : outs[0];
+}
+
+} // namespace
+
 TEST(ServingLatency, ImmediateFailuresDontChargeTheDeadline)
 {
     // Every PCIe transfer corrupts: each device attempt dies in
@@ -541,7 +553,7 @@ TEST(ServingLatency, ImmediateFailuresDontChargeTheDeadline)
     dev.core(0).setMode(apu::ExecMode::TimingOnly);
     DeviceServer server(dev, spec, 0, nullptr, 1, ServerConfig{});
 
-    ServeOutcome out = server.serve(genQuery(spec.dim, 1));
+    ServeOutcome out = serveOne(server, 1, genQuery(spec.dim, 1));
     EXPECT_TRUE(out.ok);
     EXPECT_FALSE(out.fromDevice);
     EXPECT_EQ(out.attempts, server.config().retry.maxAttempts);
@@ -564,7 +576,7 @@ TEST(ServingLatency, HangsChargeExactlyTheDeadlinePerAttempt)
     dev.core(0).setMode(apu::ExecMode::TimingOnly);
     DeviceServer server(dev, spec, 0, nullptr, 1, ServerConfig{});
 
-    ServeOutcome out = server.serve(genQuery(spec.dim, 1));
+    ServeOutcome out = serveOne(server, 1, genQuery(spec.dim, 1));
     EXPECT_TRUE(out.ok);
     EXPECT_FALSE(out.fromDevice);
     unsigned attempts = server.config().retry.maxAttempts;
@@ -586,20 +598,20 @@ TEST(ServingLatency, BreakerRoutesCooldownQueriesStraightToCpu)
     cfg.breakerCooldown = 2;
     DeviceServer server(dev, spec, 0, nullptr, 1, cfg);
 
-    auto first = server.serve(genQuery(spec.dim, 1));
+    auto first = serveOne(server, 1, genQuery(spec.dim, 1));
     EXPECT_GT(first.attempts, 0u);
     EXPECT_EQ(server.breaker().state(), BreakerState::Open);
 
     // Exactly two cooldown queries bypass the device entirely (no
     // attempts, no deadline waits)...
     for (int q = 0; q < 2; ++q) {
-        auto out = server.serve(genQuery(spec.dim, 2 + q));
+        auto out = serveOne(server, 2 + q, genQuery(spec.dim, 2 + q));
         EXPECT_TRUE(out.ok);
         EXPECT_EQ(out.attempts, 0u) << "cooldown query " << q;
         EXPECT_LT(out.hostSeconds, 1e-9);
     }
     // ...then the next query probes the device again.
-    auto probe = server.serve(genQuery(spec.dim, 9));
+    auto probe = serveOne(server, 9, genQuery(spec.dim, 9));
     EXPECT_GT(probe.attempts, 0u);
     EXPECT_EQ(server.breaker().state(), BreakerState::Open);
 }
@@ -660,9 +672,11 @@ runShardedPipeline()
             snap.fromDevice[out.id] = out.fromDevice ? 1 : 0;
         };
         for (size_t q = shard.begin; q < shard.end; ++q) {
-            server.enqueue(q, genQuery(spec.dim,
-                                       70 + static_cast<int>(q)));
-            for (const auto &out : server.pump())
+            server.enqueueAt(
+                q, genQuery(spec.dim, 70 + static_cast<int>(q)),
+                server.busySeconds());
+            for (const auto &out :
+                 server.pumpUntil(server.busySeconds()))
                 record(out);
         }
         for (const auto &out : server.drain())

@@ -745,10 +745,12 @@ TEST(ServingAdmissionBoundary, DepthCapShedsAtExactlyTheCap)
     // depth 0, 1, 2 admit (filling to the cap)...
     for (uint64_t q = 0; q < 3; ++q)
         EXPECT_TRUE(
-            server.enqueue(q, genQuery(spec.dim, 10 + q)).ok())
+            server.enqueueAt(q, genQuery(spec.dim, 10 + q),
+                             server.busySeconds()).ok())
             << "q " << q;
     // ...and the admission that would exceed it is shed, loudly.
-    Status st = server.enqueue(3, genQuery(spec.dim, 13));
+    Status st = server.enqueueAt(3, genQuery(spec.dim, 13),
+                                 server.busySeconds());
     EXPECT_FALSE(st.ok());
     EXPECT_EQ(st.code(), StatusCode::ResourceExhausted);
     server.drain();
@@ -767,9 +769,11 @@ TEST(ServingAdmissionBoundary, PredictedDelayUsesCeilOfQueuedBatches)
         ServerConfig cfg;
         cfg.batch = batching;
         DeviceServer probe(dev, spec, 0, nullptr, 1, cfg);
-        ASSERT_TRUE(probe.enqueue(0, genQuery(spec.dim, 50)).ok());
-        ASSERT_TRUE(probe.enqueue(1, genQuery(spec.dim, 51)).ok());
-        auto outs = probe.pump();
+        ASSERT_TRUE(probe.enqueueAt(0, genQuery(spec.dim, 50),
+                                    probe.busySeconds()).ok());
+        ASSERT_TRUE(probe.enqueueAt(1, genQuery(spec.dim, 51),
+                                    probe.busySeconds()).ok());
+        auto outs = probe.pumpUntil(probe.busySeconds());
         ASSERT_EQ(outs.size(), 2u);
         ewma = outs[0].hostSeconds + outs[0].retrievalSeconds;
         probe.drain();
@@ -787,12 +791,17 @@ TEST(ServingAdmissionBoundary, PredictedDelayUsesCeilOfQueuedBatches)
         cfg.batch = batching;
         cfg.admission.maxQueueDelaySeconds = 0.5 * ewma;
         DeviceServer server(dev, spec, 0, nullptr, 1, cfg);
-        ASSERT_TRUE(server.enqueue(0, genQuery(spec.dim, 50)).ok());
-        ASSERT_TRUE(server.enqueue(1, genQuery(spec.dim, 51)).ok());
-        ASSERT_EQ(server.pump().size(), 2u); // EWMA now = ewma
-        EXPECT_TRUE(server.enqueue(2, genQuery(spec.dim, 52)).ok())
+        ASSERT_TRUE(server.enqueueAt(0, genQuery(spec.dim, 50),
+                                     server.busySeconds()).ok());
+        ASSERT_TRUE(server.enqueueAt(1, genQuery(spec.dim, 51),
+                                     server.busySeconds()).ok());
+        // EWMA now = ewma
+        ASSERT_EQ(server.pumpUntil(server.busySeconds()).size(), 2u);
+        EXPECT_TRUE(server.enqueueAt(2, genQuery(spec.dim, 52),
+                                     server.busySeconds()).ok())
             << "idle server must admit: zero batches queued";
-        Status st = server.enqueue(3, genQuery(spec.dim, 53));
+        Status st = server.enqueueAt(3, genQuery(spec.dim, 53),
+                                     server.busySeconds());
         EXPECT_FALSE(st.ok())
             << "one queued query = one predicted batch over budget";
         EXPECT_EQ(st.code(), StatusCode::ResourceExhausted);
@@ -810,16 +819,22 @@ TEST(ServingAdmissionBoundary, PredictedDelayUsesCeilOfQueuedBatches)
         cfg.batch = batching;
         cfg.admission.maxQueueDelaySeconds = 1.5 * ewma;
         DeviceServer server(dev, spec, 0, nullptr, 1, cfg);
-        ASSERT_TRUE(server.enqueue(0, genQuery(spec.dim, 50)).ok());
-        ASSERT_TRUE(server.enqueue(1, genQuery(spec.dim, 51)).ok());
-        ASSERT_EQ(server.pump().size(), 2u); // EWMA now = ewma
+        ASSERT_TRUE(server.enqueueAt(0, genQuery(spec.dim, 50),
+                                     server.busySeconds()).ok());
+        ASSERT_TRUE(server.enqueueAt(1, genQuery(spec.dim, 51),
+                                     server.busySeconds()).ok());
+        // EWMA now = ewma
+        ASSERT_EQ(server.pumpUntil(server.busySeconds()).size(), 2u);
         for (uint64_t q = 2; q < 4; ++q)
             ASSERT_TRUE(
-                server.enqueue(q, genQuery(spec.dim, 50 + q)).ok())
+                server.enqueueAt(q, genQuery(spec.dim, 50 + q),
+                                 server.busySeconds()).ok())
                 << "q " << q;
-        EXPECT_TRUE(server.enqueue(4, genQuery(spec.dim, 54)).ok())
+        EXPECT_TRUE(server.enqueueAt(4, genQuery(spec.dim, 54),
+                                     server.busySeconds()).ok())
             << "depth == maxBatch is one queued batch, not two";
-        Status st = server.enqueue(5, genQuery(spec.dim, 55));
+        Status st = server.enqueueAt(5, genQuery(spec.dim, 55),
+                                     server.busySeconds());
         EXPECT_FALSE(st.ok()) << "depth 3 = two queued batches";
         server.drain();
     }
