@@ -5,7 +5,8 @@
  * exploration by enabling the tuning of key design parameters").
  * Sweeps DMA bandwidth, lookup cost, PIO cost, and VR length, and
  * reports the predicted all-opts binary-matmul latency at each
- * design point.
+ * design point. Exits nonzero if cheaper PIO ever brings the
+ * baseline down to the all-opts latency.
  */
 
 #include <cstdio>
@@ -82,10 +83,12 @@ main()
     auto pio = DesignSpaceExplorer::pioCostScale({0.25, 0.5, 1, 2});
     auto pb = dse.sweep(pio, objective_for(BmmVariant::Baseline));
     auto pa = dse.sweep(pio, objective_for(BmmVariant::AllOpts));
+    bool pio_closes_gap = false;
     for (size_t i = 0; i < pb.size(); ++i) {
         t3.addRow({formatDouble(pb[i].value, 2) + "x",
                    formatDouble(pb[i].objective, 1),
                    formatDouble(pa[i].objective, 1)});
+        pio_closes_gap |= pb[i].objective <= pa[i].objective;
     }
     t3.print();
     std::printf("Cheaper PIO shrinks the baseline's store "
@@ -113,5 +116,10 @@ main()
                                 0)});
     }
     t4.print();
+    if (pio_closes_gap) {
+        std::printf("FAIL: cheaper PIO brought the baseline down to "
+                    "the all-opts latency\n");
+        return 1;
+    }
     return 0;
 }

@@ -4,7 +4,8 @@
  * equivalent of the paper's Fig. 6: the Histogram application's
  * structure is written against the estimator's GVML-shaped API and
  * the framework reports the predicted latency. The same calibration
- * flow (profile the device, fit Eq. 1) is shown explicitly.
+ * flow (profile the device, fit Eq. 1) is shown explicitly; the
+ * example exits nonzero if the Eq. 1 mean fit error reaches 5 %.
  */
 
 #include <cstdio>
@@ -26,6 +27,10 @@ main()
     sg.calibrate(dev.core(0));
     std::printf("Eq. 1 calibrated: mean fit error %.2f%%\n",
                 sg.fitError() * 100.0);
+    if (sg.fitError() >= 0.05) {
+        std::printf("FAIL: Eq. 1 fit error is not under 5%%\n");
+        return 1;
+    }
 
     // framework = LatencyEstimator()  (Fig. 6, line 1)
     LatencyEstimator framework;

@@ -5,6 +5,8 @@
  * next-generation device with faster lookup engines, cheaper PIO,
  * or longer vector registers? (Section 1: the framework "informs
  * the design of next-generation in-SRAM computing architectures".)
+ * Exits nonzero if the latency ever rises as the VR length grows or
+ * the multiplier latency shrinks.
  */
 
 #include <cmath>
@@ -61,7 +63,8 @@ main()
                 "per-plane handshake):\n");
     auto vr = DesignSpaceExplorer::vrLength(
         {16384, 32768, 65536, 131072, 262144});
-    for (auto p : dse.sweep(vr, ragDistanceMs))
+    auto vr_points = dse.sweep(vr, ragDistanceMs);
+    for (auto p : vr_points)
         std::printf("  l = %7.0f : %7.1f ms\n", p.value,
                     p.objective);
 
@@ -70,7 +73,8 @@ main()
     DesignParameter mul{"mul_s16",
                         [](CostTable &t, double v) { t.mulS16 = v; },
                         {201, 115, 77, 40}};
-    for (auto p : dse.sweep(mul, ragDistanceMs))
+    auto mul_points = dse.sweep(mul, ragDistanceMs);
+    for (auto p : mul_points)
         std::printf("  mul_s16 = %3.0f cycles : %7.1f ms\n",
                     p.value, p.objective);
 
@@ -85,5 +89,19 @@ main()
                 "the multiplier microcode dominates -- the same "
                 "guidance the paper draws for next-generation "
                 "devices.\n");
+
+    // Both sweeps list their values in the improving direction.
+    for (const auto *points : {&vr_points, &mul_points}) {
+        for (size_t i = 1; i < points->size(); ++i) {
+            if ((*points)[i].objective > (*points)[i - 1].objective) {
+                std::printf("FAIL: latency rose from %.1f to %.1f ms "
+                            "at %.0f\n",
+                            (*points)[i - 1].objective,
+                            (*points)[i].objective,
+                            (*points)[i].value);
+                return 1;
+            }
+        }
+    }
     return 0;
 }

@@ -16,7 +16,6 @@
 #include "gdl/gdl.hh"
 #include "gvml/gvml.hh"
 #include "gvml/microcode.hh"
-#include "rvv/rvv.hh"
 
 // Off-chip memory and energy.
 #include "dramsim/dram_sim.hh"
@@ -31,7 +30,6 @@
 
 // Optimization layer.
 #include "core/bmm_model.hh"
-#include "core/dma_plan.hh"
 #include "core/layout.hh"
 #include "core/planner.hh"
 
@@ -46,6 +44,5 @@
 #include "kernels/rag.hh"
 #include "kernels/rag_model.hh"
 #include "kernels/sort.hh"
-#include "kernels/topk.hh"
 
 #endif // CISRAM_CISRAM_HH

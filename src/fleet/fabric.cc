@@ -8,22 +8,13 @@
 
 namespace cisram::fleet {
 
-Fabric::Fabric(unsigned devices, FabricConfig cfg)
-    : cfg_(cfg), links_(devices), msgSerial_(devices, 0),
+Fabric::Fabric(unsigned devices)
+    : links_(devices), msgSerial_(devices, 0),
       wedgedDrop_(devices, 0), wedgedCorrupt_(devices, 0),
       severed_(devices, 0)
 {
     cisram_assert(devices > 0, "fabric needs at least one link");
-    cisram_assert(cfg_.bytesPerSec > 0 && cfg_.maxAttempts > 0,
-                  "fabric config must be positive");
     fault::initFromEnv();
-}
-
-double
-Fabric::attemptSeconds(uint64_t bytes) const
-{
-    return cfg_.latencySeconds +
-        static_cast<double>(bytes) / cfg_.bytesPerSec;
 }
 
 bool
@@ -73,8 +64,7 @@ Fabric::transfer(unsigned device, uint64_t bytes)
     double charged = 0;
     bool last_was_drop = false;
 
-    for (unsigned attempt = 0; attempt < cfg_.maxAttempts;
-         ++attempt) {
+    for (unsigned attempt = 0; attempt < kLinkMaxAttempts; ++attempt) {
         ++ls.attempts;
 
         // A severed link never acks: the sender times out. Checked
@@ -91,8 +81,8 @@ Fabric::transfer(unsigned device, uint64_t bytes)
         if (drop) {
             ++ls.drops;
             last_was_drop = true;
-            charged += cfg_.dropTimeoutSeconds;
-            ls.busySeconds += cfg_.dropTimeoutSeconds;
+            charged += kDropTimeoutSeconds;
+            ls.busySeconds += kDropTimeoutSeconds;
             reg.counter("fleet.link.faults",
                         {{"device", dev_label},
                          {"kind", "link_drop"}})
@@ -111,7 +101,8 @@ Fabric::transfer(unsigned device, uint64_t bytes)
         // A corrupted payload still crosses the wire in full before
         // the receiver's CRC rejects it; a clean attempt pays the
         // same and delivers.
-        double t = attemptSeconds(bytes);
+        double t = kLinkLatencySeconds +
+            static_cast<double>(bytes) / kLinkBytesPerSec;
         charged += t;
         ls.busySeconds += t;
         if (corrupt) {
@@ -139,12 +130,12 @@ Fabric::transfer(unsigned device, uint64_t bytes)
     if (last_was_drop) {
         return Status::unavailable(detail::concat(
             "fabric link to device ", device, " dropped message #",
-            msg, " ", cfg_.maxAttempts,
+            msg, " ", kLinkMaxAttempts,
             " times (link down or severed)"));
     }
     return Status::dataCorruption(detail::concat(
         "fabric link to device ", device, " corrupted message #",
-        msg, " on all ", cfg_.maxAttempts, " attempts"));
+        msg, " on all ", kLinkMaxAttempts, " attempts"));
 }
 
 } // namespace cisram::fleet

@@ -6,17 +6,18 @@
  * point-to-point link between the router host and a device; the
  * fabric charges that crossing on the simulated clock:
  *
- *   attempt = latencySeconds + bytes / bytesPerSec
+ *   attempt = kLinkLatencySeconds + bytes / kLinkBytesPerSec
  *
  * and injects the two fleet-level fault kinds of the
  * CISRAM_FAULT_SPEC grammar:
  *
  *   link_corrupt  payload CRC mismatch at the receiver: the attempt
  *                 is charged in full and retransmitted, up to
- *                 maxAttempts, then DataCorruption.
+ *                 kLinkMaxAttempts, then DataCorruption.
  *   link_drop     message lost in flight: the sender burns
- *                 dropTimeoutSeconds waiting for the ack, then
- *                 retransmits, up to maxAttempts, then Unavailable.
+ *                 kDropTimeoutSeconds waiting for the ack, then
+ *                 retransmits, up to kLinkMaxAttempts, then
+ *                 Unavailable.
  *
  * Both honor `device=N` scoping (default: all links) and `sticky=1`
  * — a wedged link fails every later attempt until resetLink(), which
@@ -40,21 +41,19 @@
 
 namespace cisram::fleet {
 
-/** Per-link timing/retry parameters. */
-struct FabricConfig
-{
-    /** One-way message latency, seconds (NIC + switch hop). */
-    double latencySeconds = 2e-6;
+// Per-link timing and retry parameters.
 
-    /** Link bandwidth, bytes per second (~PCIe Gen4 x16 fabric). */
-    double bytesPerSec = 24e9;
+/** One-way message latency, seconds (NIC + switch hop). */
+constexpr double kLinkLatencySeconds = 2e-6;
 
-    /** Delivery attempts before the transfer is abandoned. */
-    unsigned maxAttempts = 4;
+/** Link bandwidth, bytes per second (~PCIe Gen4 x16 fabric). */
+constexpr double kLinkBytesPerSec = 24e9;
 
-    /** Ack-timeout charged per dropped attempt, seconds. */
-    double dropTimeoutSeconds = 50e-6;
-};
+/** Delivery attempts before a transfer is abandoned. */
+constexpr unsigned kLinkMaxAttempts = 4;
+
+/** Ack timeout charged per dropped attempt, seconds. */
+constexpr double kDropTimeoutSeconds = 50e-6;
 
 /** One link's delivery ledger. */
 struct LinkStats
@@ -74,7 +73,7 @@ struct LinkStats
 class Fabric
 {
   public:
-    explicit Fabric(unsigned devices, FabricConfig cfg = {});
+    explicit Fabric(unsigned devices);
 
     unsigned devices() const
     {
@@ -85,7 +84,7 @@ class Fabric
      * Deliver `bytes` across the link to `device`. Returns the
      * simulated seconds the delivery cost (including every failed
      * attempt's charge), or Unavailable / DataCorruption once
-     * maxAttempts are exhausted — the failed attempts' time is
+     * kLinkMaxAttempts are exhausted — the failed attempts' time is
      * still accounted in stats(device).busySeconds.
      */
     StatusOr<double> transfer(unsigned device, uint64_t bytes);
@@ -110,9 +109,6 @@ class Fabric
     const LinkStats &stats(unsigned device) const;
 
   private:
-    double attemptSeconds(uint64_t bytes) const;
-
-    FabricConfig cfg_;
     std::vector<LinkStats> links_;
     std::vector<uint64_t> msgSerial_;
     std::vector<uint8_t> wedgedDrop_;    ///< sticky link_drop latch

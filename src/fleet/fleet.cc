@@ -70,9 +70,8 @@ Router::Router(const baseline::RagCorpusSpec &corpus,
     : corpus_(corpus), corpusSeed_(corpus_seed),
       cfg_(std::move(cfg)),
       shards_(cfg_.shards ? cfg_.shards : cfg_.devices * 2),
-      placement_(placeShards(shards_, cfg_.devices, cfg_.replicas,
-                             cfg_.placement)),
-      fabric_(cfg_.devices, cfg_.fabric),
+      placement_(placeShards(shards_, cfg_.devices, cfg_.replicas)),
+      fabric_(cfg_.devices),
       flight_(0, cfg_.flight)
 {
     cisram_assert(cfg_.devices > 0, "fleet needs devices");

@@ -94,9 +94,6 @@ struct FleetConfig
      */
     kernels::ServerConfig server;
 
-    FabricConfig fabric;
-    PlacementConfig placement;
-
     /**
      * Router-side merge cost per candidate hit (S * topK candidates
      * per query): a handful of ns each for the heap insert on a

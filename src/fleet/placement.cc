@@ -8,6 +8,24 @@ namespace cisram::fleet {
 
 namespace {
 
+/**
+ * Ring points per device (160 fit 1..64 devices). More vnodes smooth
+ * the walk order, and with it which shards a cap overflow displaces;
+ * the load bound itself comes from kPrimaryLoadSlack.
+ */
+constexpr unsigned kVirtualNodes = 160;
+
+/**
+ * Bounded-load cap headroom: no device is primary for more than
+ * ceil(S/N) + kPrimaryLoadSlack shards. Slack 1 pins the busiest
+ * device within one shard of a perfect split — the 16-device speedup
+ * floor in bench_fleet_scaling depends on this.
+ */
+constexpr unsigned kPrimaryLoadSlack = 1;
+
+/** Hash seed for ring and shard points. */
+constexpr uint64_t kSeed = 0x9e3779b97f4a7c15ull;
+
 /** SplitMix64 finalizer (same mixing family as the fault draws). */
 uint64_t
 mix(uint64_t x)
@@ -21,16 +39,13 @@ mix(uint64_t x)
 } // namespace
 
 std::vector<std::vector<unsigned>>
-placeShards(unsigned shards, unsigned devices, unsigned replicas,
-            const PlacementConfig &cfg)
+placeShards(unsigned shards, unsigned devices, unsigned replicas)
 {
     cisram_assert(shards > 0, "placeShards: no shards");
     cisram_assert(devices > 0, "placeShards: no devices");
-    cisram_assert(cfg.virtualNodes > 0,
-                  "placeShards: virtualNodes must be positive");
     unsigned r = std::min(replicas == 0 ? 1u : replicas, devices);
 
-    // The ring: virtualNodes points per device, sorted by hash.
+    // The ring: kVirtualNodes points per device, sorted by hash.
     // Ties (astronomically unlikely) break by device id so the sort
     // is a total order and the map is reproducible everywhere.
     struct Point
@@ -39,11 +54,11 @@ placeShards(unsigned shards, unsigned devices, unsigned replicas,
         unsigned device;
     };
     std::vector<Point> ring;
-    ring.reserve(static_cast<size_t>(devices) * cfg.virtualNodes);
+    ring.reserve(static_cast<size_t>(devices) * kVirtualNodes);
     for (unsigned d = 0; d < devices; ++d)
-        for (unsigned v = 0; v < cfg.virtualNodes; ++v)
+        for (unsigned v = 0; v < kVirtualNodes; ++v)
             ring.push_back(
-                {mix(mix(cfg.seed ^ d) ^ (uint64_t(v) << 32)), d});
+                {mix(mix(kSeed ^ d) ^ (uint64_t(v) << 32)), d});
     std::sort(ring.begin(), ring.end(),
               [](const Point &a, const Point &b) {
                   if (a.hash != b.hash)
@@ -53,13 +68,12 @@ placeShards(unsigned shards, unsigned devices, unsigned replicas,
 
     // Bounded-load primary cap: N * cap >= S + N > S, so some
     // under-cap device always exists on a full ring walk.
-    unsigned cap =
-        (shards + devices - 1) / devices + cfg.primaryLoadSlack;
+    unsigned cap = (shards + devices - 1) / devices + kPrimaryLoadSlack;
     std::vector<unsigned> primaryLoad(devices, 0);
 
     std::vector<std::vector<unsigned>> out(shards);
     for (unsigned s = 0; s < shards; ++s) {
-        uint64_t h = mix(cfg.seed ^ 0xf1ee7u ^ (uint64_t(s) << 20));
+        uint64_t h = mix(kSeed ^ 0xf1ee7u ^ (uint64_t(s) << 20));
         size_t i = std::lower_bound(
                        ring.begin(), ring.end(), h,
                        [](const Point &p, uint64_t key) {

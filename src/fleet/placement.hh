@@ -6,7 +6,7 @@
  * into S contiguous chunk-range shards; each shard is staged on R
  * devices (its replica list). Placement must be:
  *
- *  - *deterministic*: a pure function of (S, N, R, config) — no RNG
+ *  - *deterministic*: a pure function of (S, N, R) — no RNG
  *    state, no iteration-order dependence — so every run and every
  *    CISRAM_SIM_THREADS count computes the identical map, and a
  *    bench snapshot taken today gates tomorrow's build;
@@ -18,8 +18,8 @@
  *    leave a ~2x tail at 16 devices, so primaries use consistent
  *    hashing with bounded loads: a shard walks clockwise from its
  *    own hash and the first device still under the load cap
- *    (ceil(S/N) + primaryLoadSlack) becomes its primary; the other
- *    distinct devices met on the walk are its failover replicas.
+ *    (ceil(S/N) + 1) becomes its primary; the other distinct
+ *    devices met on the walk are its failover replicas.
  *
  * The chunk ranges themselves are a plain contiguous partition
  * (shardChunkRange): shard geometry must not depend on device count
@@ -31,32 +31,9 @@
 #define CISRAM_FLEET_PLACEMENT_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace cisram::fleet {
-
-/** Ring-construction parameters (defaults fit 1..64 devices). */
-struct PlacementConfig
-{
-    /**
-     * Ring points per device. More vnodes smooth the walk order
-     * (and with it, which shards a cap overflow displaces); the
-     * load bound itself comes from primaryLoadSlack.
-     */
-    unsigned virtualNodes = 160;
-
-    /**
-     * Bounded-load cap headroom: no device is primary for more than
-     * ceil(S/N) + primaryLoadSlack shards. Slack 1 pins the busiest
-     * device within one shard of a perfect split — the 16-device
-     * speedup floor in bench_fleet_scaling depends on this.
-     */
-    unsigned primaryLoadSlack = 1;
-
-    /** Hash seed for ring and shard points. */
-    uint64_t seed = 0x9e3779b97f4a7c15ull;
-};
 
 /**
  * Place `shards` shards on `devices` devices with `replicas`-way
@@ -66,8 +43,7 @@ struct PlacementConfig
  * `replicas` is clamped to the device count.
  */
 std::vector<std::vector<unsigned>>
-placeShards(unsigned shards, unsigned devices, unsigned replicas,
-            const PlacementConfig &cfg = {});
+placeShards(unsigned shards, unsigned devices, unsigned replicas);
 
 /** One shard's contiguous slice of the global chunk space. */
 struct ShardRange

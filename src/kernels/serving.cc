@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "common/bitutils.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 
@@ -229,8 +228,8 @@ DeviceServer::enqueueAt(uint64_t id, std::vector<int16_t> embedding,
     }
 
     // Per-class cap scaling (AdmissionPolicy::sloClasses): class c
-    // keeps (C-c)/C of each budget, so under overload the lowest
-    // class hits its tighter caps — and sheds — first.
+    // keeps (C-c)/C of the depth, so under overload the lowest class
+    // hits its tighter cap — and sheds — first.
     unsigned n_cls = cfg_.admission.sloClasses;
     unsigned c = n_cls > 1
         ? std::min(cls.sloClass, n_cls - 1)
@@ -241,8 +240,6 @@ DeviceServer::enqueueAt(uint64_t id, std::vector<int16_t> embedding,
     size_t depth_cap = static_cast<size_t>(
         static_cast<double>(cfg_.admission.maxQueueDepth) *
         cls_share);
-    double delay_cap =
-        cfg_.admission.maxQueueDelaySeconds * cls_share;
 
     if (cfg_.admission.maxQueueDepth > 0 &&
         former_.depth() >= depth_cap) {
@@ -253,29 +250,6 @@ DeviceServer::enqueueAt(uint64_t id, std::vector<int16_t> embedding,
             former_.depth(), " pending at the ", depth_cap,
             "-query cap (class ", cls.sloClass, "), query #", id,
             " shed"));
-    }
-    if (cfg_.admission.maxQueueDelaySeconds > 0 &&
-        batchSecondsEwma_ > 0) {
-        // Predicted wait = queued-batches x the service-time EWMA
-        // (DESIGN.md section 7): the `depth` queries ahead of this
-        // one drain in ceil(depth / maxBatch) batches. The previous
-        // floor-plus-one form overcounted a full batch whenever the
-        // depth was an exact multiple of maxBatch — including
-        // shedding on an idle server (depth 0) whose EWMA alone
-        // exceeded the budget.
-        double batches_ahead = static_cast<double>(
-            divCeil(former_.depth(), cfg_.batch.maxBatch));
-        double predicted = batches_ahead * batchSecondsEwma_;
-        if (predicted > delay_cap) {
-            reg.counter("recovery.shed", shed_labels("deadline"))
-                .inc();
-            flight_.recordShed(id, busySeconds_, "deadline");
-            return Status::resourceExhausted(detail::concat(
-                "core ", core_, " predicted queue delay ",
-                predicted * 1e3, " ms exceeds the ",
-                delay_cap * 1e3, " ms admission budget (class ",
-                cls.sloClass, "), query #", id, " shed"));
-        }
     }
 
     journal_.admit(id, QueryPayload{embedding, search, cls},
@@ -719,13 +693,6 @@ DeviceServer::serveBatch(std::vector<PendingQuery> batch,
         }
     }
     busySeconds_ = start + elapsed;
-    // Feed the admission-delay predictor: an EWMA of the batch
-    // service time, updated only from served batches (parked ones
-    // return above), so the enqueue-time delay estimate is a pure
-    // function of the admission/served sequence.
-    batchSecondsEwma_ = batchSecondsEwma_ == 0.0
-        ? elapsed
-        : 0.75 * batchSecondsEwma_ + 0.25 * elapsed;
 
     for (const auto &o : outs)
         journal_.complete(o.id);

@@ -333,7 +333,7 @@ struct ServeOutcome
 /**
  * Bounded-admission policy: overload is shed at the door with
  * ResourceExhausted — never a silent drop — so a quarantined core's
- * redirected load cannot collapse its siblings. Both bounds default
+ * redirected load cannot collapse its siblings. The bound defaults
  * to 0 (disabled): a server without an explicit policy admits
  * everything, exactly as before this subsystem existed.
  */
@@ -343,20 +343,12 @@ struct AdmissionPolicy
     size_t maxQueueDepth = 0;
 
     /**
-     * Shed an admission whose predicted queue delay (pending batches
-     * ahead x the EWMA batch service time, simulated seconds)
-     * exceeds this (0 = disabled). Deterministic: the estimate is a
-     * pure function of the admission sequence and served batches.
-     */
-    double maxQueueDelaySeconds = 0;
-
-    /**
-     * SLO classes sharing this server (0 or 1 = classless, the caps
-     * above apply uniformly). With C > 1 classes, class c (clamped
-     * to C-1) sees the caps scaled by (C-c)/C: class 0 keeps the
-     * full budget, the lowest class gets 1/C of it — so under
-     * overload the lowest class deterministically sheds first and
-     * the highest sheds last, with no reordering and no preemption.
+     * SLO classes sharing this server (0 or 1 = classless, the cap
+     * above applies uniformly). With C > 1 classes, class c (clamped
+     * to C-1) sees the cap scaled by (C-c)/C: class 0 keeps the full
+     * depth, the lowest class gets 1/C of it — so under overload the
+     * lowest class deterministically sheds first and the highest
+     * sheds last, with no reordering and no preemption.
      */
     unsigned sloClasses = 0;
 };
@@ -458,14 +450,14 @@ class DeviceServer
      * `admit_seconds` first if this core's clock is behind it.
      *
      * OK on admission; ResourceExhausted when the admission policy
-     * sheds it (queue full, predicted delay over budget) or the core
-     * is Quarantined — the caller re-routes or reports, but the
-     * query is never silently dropped. With the default (disabled)
-     * health and admission policies every call returns OK. `search`
-     * carries the query's index params (nprobe > 0 requires
-     * cfg.ivf.enabled). `cls` is the tenant + SLO class the query
-     * admits under; with AdmissionPolicy::sloClasses set, lower
-     * classes see tighter caps and shed first.
+     * sheds it (queue full) or the core is Quarantined — the caller
+     * re-routes or reports, but the query is never silently
+     * dropped. With the default (disabled) health and admission
+     * policies every call returns OK. `search` carries the query's
+     * index params (nprobe > 0 requires cfg.ivf.enabled). `cls` is
+     * the tenant + SLO class the query admits under; with
+     * AdmissionPolicy::sloClasses set, lower classes see tighter
+     * caps and shed first.
      */
     Status enqueueAt(uint64_t id, std::vector<int16_t> embedding,
                      double admit_seconds,
@@ -666,7 +658,6 @@ class DeviceServer
     recovery::ReplayJournal<QueryPayload> journal_;
     obs::FlightRecorder flight_;
     double busySeconds_ = 0;
-    double batchSecondsEwma_ = 0; ///< admission-delay predictor
     unsigned resets_ = 0;
     uint64_t replayed_ = 0;
     uint64_t epoch_ = 0; ///< corpus epoch currently staged

@@ -1,7 +1,8 @@
 /**
  * @file
  * DRAM simulator tests: bandwidth bounds, row-buffer behaviour,
- * refresh derating, strided access, and the power model.
+ * refresh derating, strided access, the page policy, and the power
+ * model.
  */
 
 #include <gtest/gtest.h>
@@ -111,6 +112,28 @@ TEST(DramSim, ProcessTraceCountsRequests)
     double secs = sys.processTrace(reqs);
     EXPECT_GT(secs, 0.0);
     EXPECT_EQ(sys.stats().reads, 100u);
+}
+
+TEST(DramPagePolicy, ClosedPageHurtsStreams)
+{
+    DramConfig open_cfg = hbm2eConfig();
+    DramConfig closed_cfg = hbm2eConfig();
+    closed_cfg.pagePolicy = PagePolicy::Closed;
+    DramSystem open_sys(open_cfg), closed_sys(closed_cfg);
+    uint64_t bytes = 16ull << 20;
+    double t_open = open_sys.streamReadSeconds(0, bytes);
+    double t_closed = closed_sys.streamReadSeconds(0, bytes);
+    EXPECT_GT(t_closed, t_open * 1.2);
+}
+
+TEST(DramPagePolicy, ClosedPageCountsOneActivatePerBurst)
+{
+    DramConfig cfg = hbm2eConfig();
+    cfg.pagePolicy = PagePolicy::Closed;
+    DramSystem sys(cfg);
+    sys.resetStats();
+    sys.streamReadSeconds(0, 1 << 20);
+    EXPECT_EQ(sys.stats().activates, sys.stats().reads);
 }
 
 TEST(DramPower, EnergyComponentsPositiveAndAdditive)

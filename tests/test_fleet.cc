@@ -164,12 +164,11 @@ TEST(Placement, ChunkRangesPartitionTheCorpus)
 
 TEST(Fabric, CleanTransferChargesLatencyPlusBandwidth)
 {
-    FabricConfig cfg;
-    Fabric fab(2, cfg);
+    Fabric fab(2);
     auto t = fab.transfer(0, 4096);
     ASSERT_TRUE(t.ok());
     EXPECT_DOUBLE_EQ(*t,
-                     cfg.latencySeconds + 4096.0 / cfg.bytesPerSec);
+                     kLinkLatencySeconds + 4096.0 / kLinkBytesPerSec);
     EXPECT_EQ(fab.stats(0).messages, 1u);
     EXPECT_EQ(fab.stats(0).attempts, 1u);
     EXPECT_EQ(fab.stats(0).drops, 0u);
@@ -180,14 +179,13 @@ TEST(Fabric, CleanTransferChargesLatencyPlusBandwidth)
 TEST(Fabric, DroppedAttemptChargesTheAckTimeout)
 {
     PlanGuard plan("link_drop:nth=1;seed:4");
-    FabricConfig cfg;
-    Fabric fab(1, cfg);
+    Fabric fab(1);
     auto t = fab.transfer(0, 1024);
     ASSERT_TRUE(t.ok());
     // First attempt times out, the retransmit delivers.
-    EXPECT_DOUBLE_EQ(*t, cfg.dropTimeoutSeconds +
-                         cfg.latencySeconds +
-                         1024.0 / cfg.bytesPerSec);
+    EXPECT_DOUBLE_EQ(*t, kDropTimeoutSeconds +
+                         kLinkLatencySeconds +
+                         1024.0 / kLinkBytesPerSec);
     EXPECT_EQ(fab.stats(0).drops, 1u);
     EXPECT_EQ(fab.stats(0).attempts, 2u);
     EXPECT_EQ(fab.stats(0).failures, 0u);
@@ -196,15 +194,14 @@ TEST(Fabric, DroppedAttemptChargesTheAckTimeout)
     // clean.
     auto u = fab.transfer(0, 1024);
     ASSERT_TRUE(u.ok());
-    EXPECT_DOUBLE_EQ(*u, cfg.latencySeconds +
-                         1024.0 / cfg.bytesPerSec);
+    EXPECT_DOUBLE_EQ(*u, kLinkLatencySeconds +
+                         1024.0 / kLinkBytesPerSec);
 }
 
 TEST(Fabric, DeviceScopedFaultHitsOnlyThatLink)
 {
     PlanGuard plan("link_corrupt:device=1,p=1;seed:2");
-    FabricConfig cfg;
-    Fabric fab(3, cfg);
+    Fabric fab(3);
 
     EXPECT_TRUE(fab.transfer(0, 64).ok());
     EXPECT_TRUE(fab.transfer(2, 64).ok());
@@ -212,13 +209,13 @@ TEST(Fabric, DeviceScopedFaultHitsOnlyThatLink)
     auto t = fab.transfer(1, 64);
     ASSERT_FALSE(t.ok());
     EXPECT_EQ(t.status().code(), StatusCode::DataCorruption);
-    EXPECT_EQ(fab.stats(1).corrupts, cfg.maxAttempts);
+    EXPECT_EQ(fab.stats(1).corrupts, kLinkMaxAttempts);
     EXPECT_EQ(fab.stats(1).failures, 1u);
     // Every corrupted attempt crossed the wire in full.
     EXPECT_DOUBLE_EQ(fab.stats(1).busySeconds,
-                     cfg.maxAttempts *
-                         (cfg.latencySeconds +
-                          64.0 / cfg.bytesPerSec));
+                     kLinkMaxAttempts *
+                         (kLinkLatencySeconds +
+                          64.0 / kLinkBytesPerSec));
     // Non-sticky: the link is not wedged, just lossy.
     EXPECT_FALSE(fab.wedged(1));
 }
@@ -226,15 +223,14 @@ TEST(Fabric, DeviceScopedFaultHitsOnlyThatLink)
 TEST(Fabric, StickyDropWedgesUntilResetLink)
 {
     PlanGuard plan("link_drop:nth=1,sticky=1;seed:6");
-    FabricConfig cfg;
-    Fabric fab(1, cfg);
+    Fabric fab(1);
 
     auto t = fab.transfer(0, 128);
     ASSERT_FALSE(t.ok());
     EXPECT_EQ(t.status().code(), StatusCode::Unavailable);
     EXPECT_TRUE(fab.wedged(0));
     // Every attempt after the latch dropped without a fresh draw.
-    EXPECT_EQ(fab.stats(0).drops, cfg.maxAttempts);
+    EXPECT_EQ(fab.stats(0).drops, kLinkMaxAttempts);
 
     // Wedged: the next message fails too.
     EXPECT_FALSE(fab.transfer(0, 128).ok());

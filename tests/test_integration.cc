@@ -67,10 +67,10 @@ TEST(Integration, LayoutPlanFeedsDmaEngineFeedsKernel)
               5.0 * lhs(core::BmmVariant::Opt1Opt3));
 }
 
-TEST(Integration, HostPipelineWithGdlAndRvv)
+TEST(Integration, HostPipelineWithGdlAndGvml)
 {
     // Host stages two vectors over PCIe, a GDL task computes with
-    // the RVV abstraction, the host reads the result back.
+    // GVML ops, the host reads the result back.
     apu::ApuDevice dev;
     gdl::GdlContext host(dev);
     size_t n = dev.spec().vrLength;
@@ -90,12 +90,14 @@ TEST(Integration, HostPipelineWithGdlAndRvv)
     int rc = host.runTask([&](apu::ApuCore &core) {
         core.dmaL4ToL1(0, ha.addr);
         core.dmaL4ToL1(1, hb.addr);
-        rvv::RvvUnit v(core);
-        v.vle16(1, 0);
-        v.vle16(2, 1);
-        v.vmsltu_vv(3, 1, 2);
-        v.vmerge_vvm(4, 2, 1, 3); // max(a, b)
-        v.vse16(2, 4);
+        gvml::Gvml g(core);
+        g.load16(gvml::Vr(1), gvml::Vmr(0));
+        g.load16(gvml::Vr(2), gvml::Vmr(1));
+        // max(a, b): start from a, take b where a < b.
+        g.ltU16(gvml::Vr(3), gvml::Vr(1), gvml::Vr(2));
+        g.cpy16(gvml::Vr(4), gvml::Vr(1));
+        g.cpy16Msk(gvml::Vr(4), gvml::Vr(2), gvml::Vr(3));
+        g.store16(gvml::Vmr(2), gvml::Vr(4));
         core.dmaL1ToL4(hc.addr, 2);
         return 0;
     });

@@ -420,42 +420,6 @@ TEST(ServingAdmission, DepthBoundShedsAtTheDoor)
     EXPECT_EQ(server.journalOutstanding(), 0u);
 }
 
-TEST(ServingAdmission, PredictedDelayOverBudgetSheds)
-{
-    const auto &spec = ragCorpora()[0];
-    apu::ApuDevice dev;
-    dev.core(0).setMode(apu::ExecMode::TimingOnly);
-    ServerConfig cfg;
-    cfg.batch = BatchPolicy{1, 0};
-    cfg.admission.maxQueueDelaySeconds = 1e-9;
-    DeviceServer server(dev, spec, 0, nullptr, 1, cfg);
-
-    // The predictor has no samples yet: the first query is admitted
-    // and served, seeding the EWMA.
-    EXPECT_TRUE(server.enqueueAt(0, genQuery(spec.dim, 10),
-                                 server.busySeconds()).ok());
-    EXPECT_EQ(server.pumpUntil(server.busySeconds()).size(), 1u);
-
-    // An idle queue predicts zero wait (ceil(0/maxBatch) batches
-    // ahead), so even a nanosecond budget admits. The old floor+1
-    // predictor shed here — DESIGN.md §7 boundary, also pinned by
-    // tests/test_wordparallel.cc.
-    EXPECT_TRUE(server.enqueueAt(1, genQuery(spec.dim, 11),
-                                 server.busySeconds()).ok());
-
-    // With one query already waiting, the next rides a full batch
-    // behind it — far longer than a nanosecond: shed.
-    Status st = server.enqueueAt(2, genQuery(spec.dim, 12),
-                                 server.busySeconds());
-    EXPECT_EQ(st.code(), StatusCode::ResourceExhausted);
-    EXPECT_NE(st.message().find("admission budget"),
-              std::string::npos);
-
-    // The admitted query is still delivered.
-    EXPECT_EQ(server.drain().size(), 1u);
-    EXPECT_EQ(server.journalOutstanding(), 0u);
-}
-
 // ---- DeviceServer: quarantine, shed, reset, replay ---------------------
 
 TEST(ServingRecovery, QuarantineShedsWithResourceExhausted)

@@ -756,90 +756,6 @@ TEST(ServingAdmissionBoundary, DepthCapShedsAtExactlyTheCap)
     server.drain();
 }
 
-TEST(ServingAdmissionBoundary, PredictedDelayUsesCeilOfQueuedBatches)
-{
-    const auto &spec = ragCorpora()[0];
-    BatchPolicy batching{2, 100};
-
-    // Measure one batch's deterministic service time (which seeds
-    // the EWMA) on an unconstrained server.
-    double ewma = 0;
-    {
-        ApuDevice dev;
-        ServerConfig cfg;
-        cfg.batch = batching;
-        DeviceServer probe(dev, spec, 0, nullptr, 1, cfg);
-        ASSERT_TRUE(probe.enqueueAt(0, genQuery(spec.dim, 50),
-                                    probe.busySeconds()).ok());
-        ASSERT_TRUE(probe.enqueueAt(1, genQuery(spec.dim, 51),
-                                    probe.busySeconds()).ok());
-        auto outs = probe.pumpUntil(probe.busySeconds());
-        ASSERT_EQ(outs.size(), 2u);
-        ewma = outs[0].hostSeconds + outs[0].retrievalSeconds;
-        probe.drain();
-    }
-    ASSERT_GT(ewma, 0.0);
-
-    // Budget below one batch time: an *idle* server (depth 0, zero
-    // queued batches, so zero predicted wait) must still admit. The
-    // pre-fix floor(depth/maxBatch)+1 form predicted a full batch of
-    // wait at depth 0 and shed here. With one query queued, the
-    // predicted wait is one EWMA and the budget is exceeded: shed.
-    {
-        ApuDevice dev;
-        ServerConfig cfg;
-        cfg.batch = batching;
-        cfg.admission.maxQueueDelaySeconds = 0.5 * ewma;
-        DeviceServer server(dev, spec, 0, nullptr, 1, cfg);
-        ASSERT_TRUE(server.enqueueAt(0, genQuery(spec.dim, 50),
-                                     server.busySeconds()).ok());
-        ASSERT_TRUE(server.enqueueAt(1, genQuery(spec.dim, 51),
-                                     server.busySeconds()).ok());
-        // EWMA now = ewma
-        ASSERT_EQ(server.pumpUntil(server.busySeconds()).size(), 2u);
-        EXPECT_TRUE(server.enqueueAt(2, genQuery(spec.dim, 52),
-                                     server.busySeconds()).ok())
-            << "idle server must admit: zero batches queued";
-        Status st = server.enqueueAt(3, genQuery(spec.dim, 53),
-                                     server.busySeconds());
-        EXPECT_FALSE(st.ok())
-            << "one queued query = one predicted batch over budget";
-        EXPECT_EQ(st.code(), StatusCode::ResourceExhausted);
-        server.drain();
-    }
-
-    // Budget of 1.5 batch times: a depth exactly equal to maxBatch
-    // is still ceil(2/2) = 1 queued batch (one EWMA, under budget).
-    // The pre-fix form counted floor(2/2)+1 = 2 batches and shed at
-    // this exact-multiple boundary. Depth 3 genuinely needs two
-    // batches and is over budget.
-    {
-        ApuDevice dev;
-        ServerConfig cfg;
-        cfg.batch = batching;
-        cfg.admission.maxQueueDelaySeconds = 1.5 * ewma;
-        DeviceServer server(dev, spec, 0, nullptr, 1, cfg);
-        ASSERT_TRUE(server.enqueueAt(0, genQuery(spec.dim, 50),
-                                     server.busySeconds()).ok());
-        ASSERT_TRUE(server.enqueueAt(1, genQuery(spec.dim, 51),
-                                     server.busySeconds()).ok());
-        // EWMA now = ewma
-        ASSERT_EQ(server.pumpUntil(server.busySeconds()).size(), 2u);
-        for (uint64_t q = 2; q < 4; ++q)
-            ASSERT_TRUE(
-                server.enqueueAt(q, genQuery(spec.dim, 50 + q),
-                                 server.busySeconds()).ok())
-                << "q " << q;
-        EXPECT_TRUE(server.enqueueAt(4, genQuery(spec.dim, 54),
-                                     server.busySeconds()).ok())
-            << "depth == maxBatch is one queued batch, not two";
-        Status st = server.enqueueAt(5, genQuery(spec.dim, 55),
-                                     server.busySeconds());
-        EXPECT_FALSE(st.ok()) << "depth 3 = two queued batches";
-        server.drain();
-    }
-}
-
 // ---- Histogram quantile: exact bucket-boundary pin ----------------------
 
 TEST(HistogramQuantileBoundary, ExactBoundaryBelongsToLowerBucket)
