@@ -4,6 +4,7 @@
 #include <functional>
 #include <numeric>
 #include <optional>
+#include <tuple>
 
 #include "common/bitutils.hh"
 #include "common/gsifloat.hh"
@@ -183,45 +184,51 @@ overlapHiddenSeconds(ApuDevice &dev, const apu::TimingParams &t,
     return hidden;
 }
 
+/** One L4 allocation, freed with the object. */
+struct L4Block
+{
+    L4Block(ApuDevice &dev, uint64_t bytes)
+        : dev(dev),
+          addr(dev.allocator().alloc(std::max<uint64_t>(1, bytes), 512))
+    {}
+    ~L4Block() { dev.allocator().free(addr); }
+    L4Block(const L4Block &) = delete;
+    L4Block &operator=(const L4Block &) = delete;
+    ApuDevice &dev;
+    const uint64_t addr;
+};
+
 /**
- * Dimension-major supertile planes of `rows` rows, staged in L4 for
- * the object's lifetime: the functional model of the corpus stream
- * (the HBM stream itself is timed separately). Supertile st is dim
- * planes, plane d holding element d of rows [st*l, st*l + l) with
- * zeros past the last row; given an admit predicate, an admit plane
- * follows: 1 where a row may match, 0 on excluded rows and padding
- * lanes, so a ragged tail's biased-zero dot products can never
- * outrank real (possibly negative) scores.
+ * Dimension-major supertile planes of `rows` rows, staged compactly
+ * in L4 for the object's lifetime: the functional model of the
+ * corpus stream (the HBM stream itself is timed separately).
+ * Supertile st holds its `valid` rows as dim planes of exactly
+ * `valid` lanes, plane d holding element d of each row. Ingest
+ * zero-fills the lanes past the last row; the admit plane masks them,
+ * as their biased-zero dots would outrank real negative scores.
  */
 class StagedPlanes
 {
   public:
     /** Writes row i's dim elements to out. */
     using RowFn = std::function<void(size_t i, int16_t *out)>;
-    /** Whether row i may match. */
-    using AdmitFn = std::function<bool(size_t i)>;
 
     /** @param gf16 Stage each element as its gf16 bit pattern. */
     StagedPlanes(ApuDevice &dev, size_t rows, size_t dim,
-                 const RowFn &row, const AdmitFn &admit,
-                 bool gf16 = false)
-        : dev_(dev), l_(dev.spec().vrLength),
-          stride_(dim + (admit ? 1 : 0))
+                 const RowFn &row, bool gf16 = false)
+        : l_(dev.spec().vrLength), rows_(rows), dim_(dim),
+          mem_(dev, rows * dim * 2)
     {
         cisram_assert(rows <= (size_t(1) << 21),
                       "functional corpus too large");
-        size_t supertiles = divCeil(rows, l_);
-        addr_ = dev.allocator().alloc(
-            std::max<size_t>(1, supertiles) * stride_ * l_ * 2, 512);
         // Rows generate a block at a time and transpose into plane
         // segments, so the host holds one block of rows, not a
         // supertile.
         constexpr size_t kBlockRows = 512;
         std::vector<int16_t> block(kBlockRows * dim);
-        std::vector<uint16_t> seg(l_);
-        for (size_t st = 0; st < supertiles; ++st) {
-            size_t valid = std::min(l_, rows - st * l_);
-            uint64_t tile = addr_ + st * stride_ * l_ * 2;
+        std::vector<uint16_t> seg(kBlockRows);
+        for (size_t st = 0; st * l_ < rows; ++st) {
+            size_t valid = lanes(st);
             for (size_t j0 = 0; j0 < valid; j0 += kBlockRows) {
                 size_t n = std::min(kBlockRows, valid - j0);
                 for (size_t j = 0; j < n; ++j)
@@ -237,43 +244,51 @@ class StagedPlanes
                         for (size_t j = 0; j < n; ++j)
                             seg[j] = static_cast<uint16_t>(col[j * dim]);
                     }
-                    dev.l4().write(tile + (d * l_ + j0) * 2, seg.data(),
+                    dev.l4().write(plane(st, d) + j0 * 2, seg.data(),
                                    n * 2);
                 }
-            }
-            std::fill(seg.begin(), seg.end(), 0);
-            if (valid < l_)
-                for (size_t d = 0; d < dim; ++d)
-                    dev.l4().write(tile + (d * l_ + valid) * 2,
-                                   seg.data(), (l_ - valid) * 2);
-            if (admit) {
-                for (size_t j = 0; j < valid; ++j)
-                    seg[j] = admit(st * l_ + j) ? 1 : 0;
-                dev.l4().write(tile + dim * l_ * 2, seg.data(), l_ * 2);
             }
         }
     }
 
-    ~StagedPlanes() { dev_.allocator().free(addr_); }
-
-    StagedPlanes(const StagedPlanes &) = delete;
-    StagedPlanes &operator=(const StagedPlanes &) = delete;
-
-    /** Functional ingest of plane d (d == dim: the admit plane) of
-     * supertile st into L1 slot vm. */
+    /** Functional ingest of plane d of supertile st into L1 slot vm:
+     * the supertile's rows, then zeros. */
     void
     ingest(ApuCore &core, Vmr vm, size_t st, size_t d) const
     {
-        dev_.l4().read(addr_ + (st * stride_ + d) * l_ * 2,
-                       core.l1().slot(vm.idx).data(), l_ * 2);
+        std::vector<uint16_t> &slot = core.l1().slot(vm.idx);
+        size_t valid = lanes(st);
+        mem_.dev.l4().read(plane(st, d), slot.data(), valid * 2);
+        std::fill(slot.begin() + valid, slot.end(), 0);
     }
 
   private:
-    ApuDevice &dev_;
+    /** Rows in supertile st. */
+    size_t lanes(size_t st) const { return std::min(l_, rows_ - st * l_); }
+
+    /** Plane d of supertile st; every earlier supertile is full. */
+    uint64_t
+    plane(size_t st, size_t d) const
+    {
+        return mem_.addr + (st * l_ * dim_ + d * lanes(st)) * 2;
+    }
+
     size_t l_;
-    size_t stride_; ///< planes per supertile
-    uint64_t addr_ = 0;
+    size_t rows_;
+    size_t dim_;
+    L4Block mem_;
 };
+
+/** The planes in `slot`, staged from `row` on first use. */
+const StagedPlanes &
+stageOnce(std::unique_ptr<StagedPlanes> &slot, ApuDevice &dev,
+          size_t rows, size_t dim, const StagedPlanes::RowFn &row,
+          bool gf16 = false)
+{
+    if (!slot)
+        slot = std::make_unique<StagedPlanes>(dev, rows, dim, row, gf16);
+    return *slot;
+}
 
 /** Corpus rows: row i is local position positions[i] (i if null). */
 StagedPlanes::RowFn
@@ -288,6 +303,49 @@ corpusRows(const RagCorpusSpec &spec, uint64_t seed,
 }
 
 } // namespace
+
+/**
+ * The functional staged layouts of one corpus seed, each staged on
+ * first use and freed with the set: a retriever stages a run once,
+ * not once per call.
+ */
+struct RagRetriever::Resident
+{
+    uint64_t seed;
+    std::unique_ptr<StagedPlanes> corpus; ///< every position, in order
+    std::unique_ptr<StagedPlanes> gf16;
+    std::unique_ptr<L4Block> tiles; ///< spatial: padded, chunk-major
+
+    // The IVF runs, keyed by the content (not the address) of the
+    // clustering they were staged from.
+    std::tuple<std::vector<int16_t>, std::vector<uint64_t>,
+               std::vector<uint32_t>> ivfKey;
+    std::unique_ptr<StagedPlanes> centroids;
+    std::vector<std::unique_ptr<StagedPlanes>> lists; ///< by list id
+
+    /** Drop the IVF runs unless they were staged from `cl`. */
+    void
+    keyIvf(const baseline::IvfClustering &cl)
+    {
+        auto key = std::tie(cl.centroids(), cl.listOffsets(), cl.order());
+        if (ivfKey != key) {
+            ivfKey = key;
+            centroids.reset();
+            lists = std::vector<std::unique_ptr<StagedPlanes>>(
+                cl.numLists());
+        }
+    }
+};
+
+RagRetriever::Resident &
+RagRetriever::resident(uint64_t corpus_seed)
+{
+    if (!resident_ || resident_->seed != corpus_seed) {
+        resident_.reset(); // free the other seed's layouts first
+        resident_ = std::make_unique<Resident>(corpus_seed);
+    }
+    return *resident_;
+}
 
 RagRetriever::RagRetriever(ApuDevice &dev, dram::DramSystem &hbm,
                            RagCorpusSpec corpus, size_t top_k,
@@ -412,11 +470,10 @@ RagRetriever::retrieveGf16(const std::vector<int16_t> &query,
         0, static_cast<uint64_t>(res.dramBytes));
 
     // Dimension-major gf16 planes.
-    std::optional<StagedPlanes> planes;
-    if (fnl)
-        planes.emplace(dev, chunks, dim,
-                       corpusRows(corpus_, corpus_seed), nullptr,
-                       true);
+    const StagedPlanes *planes =
+        fnl ? &stageOnce(resident(corpus_seed).gf16, dev, chunks, dim,
+                         corpusRows(corpus_, corpus_seed), true)
+            : nullptr;
 
     core.stats().reset();
     StageTimer timer(core);
@@ -509,6 +566,7 @@ RagRetriever::retrieveBatch(
         size_t rows;
         const uint32_t *positions; ///< row -> position; null: identity
         std::vector<size_t> lanes; ///< batch lanes scoring the run
+        std::unique_ptr<StagedPlanes> *planes; ///< resident; null: timing
 
         uint64_t
         position(size_t row) const
@@ -523,8 +581,10 @@ RagRetriever::retrieveBatch(
     size_t K = 0, nprobe = 0;
     std::vector<std::vector<uint32_t>> probes(batch);
     std::vector<Run> runs;
+    Resident *staged = fnl ? &resident(corpus_seed) : nullptr;
     if (!cl) {
-        runs.push_back({corpus_.numChunks, nullptr, every_lane});
+        runs.push_back({corpus_.numChunks, nullptr, every_lane,
+                        staged ? &staged->corpus : nullptr});
     } else {
         K = cl->numLists();
         nprobe = std::min(opts.search.nprobe, K);
@@ -547,13 +607,16 @@ RagRetriever::retrieveBatch(
         // Probed lists in ascending list order: each streams once per
         // batch and only its probing queries score it. Positions stay
         // ascending within a list, which keeps per-supertile tie
-        // extraction exact.
+        // extraction exact. A list stages the first time it is probed.
+        if (staged)
+            staged->keyIvf(*cl);
         for (size_t list = 0; list < K; ++list)
             if (!by_list[list].empty())
                 runs.push_back(
                     {cl->listSize(list),
                      cl->order().data() + cl->listOffsets()[list],
-                     std::move(by_list[list])});
+                     std::move(by_list[list]),
+                     staged ? &staged->lists[list] : nullptr});
     }
     uint64_t rows = 0;
     size_t supertiles = 0;
@@ -596,18 +659,24 @@ RagRetriever::retrieveBatch(
     // lanes' accumulators, ingest each of dim planes into a
     // broadcast MAC, ingest the admit plane, then bias, mask and
     // extract k winners per lane (ids mapped to the run's positions)
-    // before `merges` CP merges. The run's planes are staged for the
-    // scan and freed after it.
+    // before `merges` CP merges. The run's planes stay resident once
+    // staged; its admit plane (1 where row i may match) follows the
+    // batch's filter, so it is staged for the scan and freed after it.
     double topk_cycles = 0.0;
     auto scan = [&](const Run &run, const StagedPlanes::RowFn &row,
-                    const StagedPlanes::AdmitFn &admit, size_t k,
-                    size_t merges,
+                    const std::function<bool(size_t)> &admitted,
+                    size_t k, size_t merges,
                     std::vector<std::vector<Hit>> &winners) {
         if (run.rows == 0) // an empty probed list
             return;
-        std::optional<StagedPlanes> planes;
-        if (fnl)
-            planes.emplace(dev, run.rows, dim, row, admit);
+        const StagedPlanes *planes =
+            run.planes ? &stageOnce(*run.planes, dev, run.rows, dim, row)
+                       : nullptr;
+        std::optional<StagedPlanes> admit;
+        if (planes)
+            admit.emplace(dev, run.rows, 1, [&](size_t i, int16_t *out) {
+                *out = admitted(i) ? 1 : 0;
+            });
         std::vector<Vr> accs;
         for (size_t q : run.lanes)
             accs.push_back(acc(q));
@@ -633,8 +702,8 @@ RagRetriever::retrieveBatch(
             // embedding can produce) into excluded lanes, which
             // extractTopK already skips.
             core.chargeRaw(ingestCycles(t, true));
-            if (planes)
-                planes->ingest(core, vmAdmit, st, dim);
+            if (admit)
+                admit->ingest(core, vmAdmit, st, 0);
             g.load16(vrAdmit, vmAdmit);
 
             double before = core.stats().cycles();
@@ -660,7 +729,8 @@ RagRetriever::retrieveBatch(
         // and the CP merges the batch's selections once.
         const int16_t *cents = cl->centroids().data();
         std::vector<std::vector<Hit>> picked(batch);
-        scan({K, nullptr, every_lane},
+        scan({K, nullptr, every_lane,
+              staged ? &staged->centroids : nullptr},
              [&](size_t i, int16_t *out) {
                  std::copy_n(cents + i * dim, dim, out);
              },
@@ -677,9 +747,9 @@ RagRetriever::retrieveBatch(
 
     std::vector<std::vector<Hit>> candidates(batch);
     for (const Run &run : runs) {
-        // Admit marks: row validity AND epoch liveness (tombstoned
-        // chunks keep their staged position but never match) AND the
-        // metadata predicate.
+        // Admit marks: epoch liveness (tombstoned chunks keep their
+        // staged position but never match) AND the metadata
+        // predicate; lanes past the last row ingest as 0.
         scan(run, corpusRows(corpus_, corpus_seed, run.positions),
              [&](size_t i) {
                  uint64_t p = run.position(i);
@@ -721,29 +791,33 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
     res.stages.loadEmbedding = hbm.streamReadSeconds(
         0, static_cast<uint64_t>(res.dramBytes));
 
-    // Functional staging: padded chunk-major embeddings + query.
-    uint64_t emb_addr = 0, q_addr = 0;
+    // Functional staging: resident padded chunk-major tiles + query.
+    std::optional<L4Block> qbuf;
     bool fnl = core.functional();
     if (fnl) {
         cisram_assert(chunks <= (size_t(1) << 21),
                       "functional corpus too large");
-        emb_addr = dev.allocator().alloc(
-            divCeil(chunks, cpt) * l * 2, 512);
-        auto row = corpusRows(corpus_, corpus_seed);
-        std::vector<int16_t> tile(l);
-        for (size_t tl = 0; tl < divCeil(chunks, cpt); ++tl) {
-            std::fill(tile.begin(), tile.end(), 0);
-            for (size_t c = 0; c < cpt && tl * cpt + c < chunks; ++c)
-                row(tl * cpt + c, tile.data() + c * pad);
-            dev.l4().write(emb_addr + tl * l * 2, tile.data(),
-                           l * 2);
+        std::unique_ptr<L4Block> &slot = resident(corpus_seed).tiles;
+        if (!slot) {
+            slot = std::make_unique<L4Block>(
+                dev, divCeil(chunks, cpt) * l * 2);
+            auto row = corpusRows(corpus_, corpus_seed);
+            std::vector<int16_t> tile(l);
+            for (size_t tl = 0; tl < divCeil(chunks, cpt); ++tl) {
+                std::fill(tile.begin(), tile.end(), 0);
+                for (size_t c = 0; c < cpt && tl * cpt + c < chunks; ++c)
+                    row(tl * cpt + c, tile.data() + c * pad);
+                dev.l4().write(slot->addr + tl * l * 2, tile.data(),
+                               l * 2);
+            }
         }
-        q_addr = dev.allocator().alloc(pad * 2, 512);
+        qbuf.emplace(dev, pad * 2);
         std::vector<uint16_t> qpad(pad, 0);
         for (size_t d = 0; d < corpus_.dim; ++d)
             qpad[d] = static_cast<uint16_t>(query[d]);
-        dev.l4().write(q_addr, qpad.data(), pad * 2);
+        dev.l4().write(qbuf->addr, qpad.data(), pad * 2);
     }
+    uint64_t q_addr = qbuf ? qbuf->addr : 0;
 
     core.stats().reset();
     StageTimer timer(core);
@@ -792,8 +866,8 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
         core.chargeRaw(ingestCycles(t, coalesce));
         if (fnl) {
             auto &slot = core.l1().slot(vmStage.idx);
-            dev.l4().read(emb_addr + tile_idx * l * 2, slot.data(),
-                          l * 2);
+            dev.l4().read(resident_->tiles->addr + tile_idx * l * 2,
+                          slot.data(), l * 2);
         }
         g.load16(vrEmb, vmStage);
         g.mulS16(vrT, vrEmb, vrQ);
@@ -838,12 +912,7 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
         topk_cycles += core.stats().cycles() - before;
     }
 
-    double calc_total = timer.lap();
-    if (fnl) {
-        dev.allocator().free(emb_addr);
-        dev.allocator().free(q_addr);
-    }
-    return finishPass(std::move(res), calc_total, topk_cycles, 0,
+    return finishPass(std::move(res), timer.lap(), topk_cycles, 0,
                       {std::move(candidates)})[0];
 }
 
@@ -866,19 +935,20 @@ RagRetriever::retrieveTemporal(const std::vector<int16_t> &query,
     res.stages.loadEmbedding = hbm.streamReadSeconds(
         0, static_cast<uint64_t>(res.dramBytes));
 
-    // Functional staging: dimension-major planes per super-tile.
-    std::optional<StagedPlanes> planes;
-    uint64_t q_addr = 0;
+    // Functional staging: the resident exhaustive run + query.
+    const StagedPlanes *planes = nullptr;
+    std::optional<L4Block> qbuf;
     bool fnl = core.functional();
     if (fnl) {
-        planes.emplace(dev, chunks, dim,
-                       corpusRows(corpus_, corpus_seed), nullptr);
-        q_addr = dev.allocator().alloc(l * 2, 512);
+        planes = &stageOnce(resident(corpus_seed).corpus, dev, chunks,
+                            dim, corpusRows(corpus_, corpus_seed));
+        qbuf.emplace(dev, l * 2);
         std::vector<uint16_t> qv(l, 0);
         for (size_t d = 0; d < dim; ++d)
             qv[d] = static_cast<uint16_t>(query[d]);
-        dev.l4().write(q_addr, qv.data(), l * 2);
+        dev.l4().write(qbuf->addr, qv.data(), l * 2);
     }
+    uint64_t q_addr = qbuf ? qbuf->addr : 0;
 
     core.stats().reset();
     StageTimer timer(core);
@@ -929,10 +999,7 @@ RagRetriever::retrieveTemporal(const std::vector<int16_t> &query,
                           part.end());
         topk_cycles += core.stats().cycles() - before;
     });
-    double calc_total = timer.lap();
-    if (fnl)
-        dev.allocator().free(q_addr);
-    return finishPass(std::move(res), calc_total, topk_cycles, 0,
+    return finishPass(std::move(res), timer.lap(), topk_cycles, 0,
                       {std::move(candidates)})[0];
 }
 

@@ -33,6 +33,7 @@
 #define CISRAM_KERNELS_RAG_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "apusim/apu.hh"
@@ -107,9 +108,9 @@ struct RagBatchOptions
     /**
      * Coarse quantizer backing search.nprobe > 0, which requires
      * one. Host-built once per corpus
-     * (baseline::IvfClustering::build) and resident across batches;
-     * its centroid table stages into L3/L4 for the device's coarse
-     * pass.
+     * (baseline::IvfClustering::build); in functional mode its
+     * centroid table and each probed list stay staged in L4 until a
+     * batch brings a clustering of other content.
      */
     const baseline::IvfClustering *ivf = nullptr;
 };
@@ -173,6 +174,14 @@ struct RagRunResult
     Status status = Status::okStatus();
 };
 
+/**
+ * One core's retrieval over one corpus shard. In functional mode the
+ * corpus stays staged in L4, as the embeddings stay in device memory:
+ * each layout (the exhaustive run, the spatial tiles, the gf16
+ * planes, the IVF centroids and lists) is staged on first use and
+ * freed by the destructor, or by a call with another corpus seed.
+ * The timing model never charges staging; TimingOnly stages nothing.
+ */
 class RagRetriever
 {
   public:
@@ -199,7 +208,8 @@ class RagRetriever
      *
      * Functional mode (device core 0 in Functional mode): the corpus
      * must be small enough to materialize; embeddings are generated
-     * from `corpus_seed` and real hits are returned.
+     * from `corpus_seed`, staged once for calls with that seed, and
+     * real hits are returned.
      * TimingOnly mode: stages are timed at any corpus scale.
      */
     RagRunResult retrieve(const std::vector<int16_t> &query,
@@ -235,7 +245,9 @@ class RagRetriever
     const baseline::RagCorpusSpec &corpus() const { return corpus_; }
 
   private:
-    struct StageCycles;
+    struct Resident;
+    /** The resident set of corpus_seed, replacing another seed's. */
+    Resident &resident(uint64_t corpus_seed);
 
     RagRunResult retrieveSpatial(const std::vector<int16_t> &query,
                                  bool coalesce, bool bf_query,
@@ -260,6 +272,7 @@ class RagRetriever
     size_t topK;
     unsigned coreIdx_;
     uint64_t idsAddr_; ///< 8 batch slots of topK u32 ids each
+    std::unique_ptr<Resident> resident_; ///< null until staged
 };
 
 } // namespace cisram::kernels

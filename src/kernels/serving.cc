@@ -179,8 +179,8 @@ DeviceServer::DeviceServer(apu::ApuDevice &dev, RagCorpusSpec spec,
     hbm_.setDeviceIndex(cfg.deviceIndex);
     if (cfg_.ivf.enabled) {
         // Host state: trained once per shard, survives core resets
-        // (only the device-side centroid staging is re-paid, inside
-        // each probing retrieveBatch).
+        // (only the device-side staging is re-paid: the rebuilt
+        // retriever stages the centroids and each list on first use).
         clustering_ = std::make_unique<baseline::IvfClustering>(
             baseline::IvfClustering::build(spec_, corpusSeed_,
                                            cfg_.ivf.build));
@@ -389,8 +389,8 @@ DeviceServer::applyMutation(const RagCorpusSpec &epoch_spec,
     std::vector<ServeOutcome> served = drain();
 
     // Incremental re-stage, in the reset choreography's teardown /
-    // rebuild order so the DramAllocator hands identical addresses
-    // back and post-mutation batches replay bit-identically.
+    // rebuild order: the new retriever stages the epoch's corpus on
+    // its first batch, so post-mutation batches replay bit-identically.
     qbuf_.reset();
     retriever_.reset();
     spec_ = epoch_spec;
@@ -449,10 +449,11 @@ DeviceServer::forceReset()
     }
     double resetStart = busySeconds_;
 
-    // Tear down the device footprint in reverse allocation order,
-    // then rebuild in the original order: the DramAllocator's
-    // size-keyed free lists hand the same addresses back, so the
-    // replayed batches run against a bit-identical layout.
+    // Tear down the device footprint, the retriever's resident runs
+    // included, then rebuild it. The new retriever restages each run
+    // from the same corpus, seed and clustering on its first batch,
+    // so the replayed batches scan bit-identical planes; no charged
+    // number depends on the addresses they land at.
     qbuf_.reset();
     retriever_.reset();
     gdl::ResetOutcome out = host_.resetCore(core_, restageBytes());

@@ -401,8 +401,9 @@ struct ServerConfig
      * IVF-lite serving (DESIGN.md section 11). When enabled the
      * server trains a coarse quantizer over its corpus shard at
      * construction (host-side; it survives core resets — the
-     * clustering is host state, only the centroid staging is
-     * re-paid) and honours per-query `nprobe`/`filterMask` params.
+     * clustering is host state, only the device staging of its
+     * centroids and lists is re-paid) and honours per-query
+     * `nprobe`/`filterMask` params.
      * Disabled (default): params with nprobe > 0 are a
      * configuration error.
      */

@@ -339,7 +339,6 @@ TEST(IvfDeviceTest, EmptyFilterYieldsNoSurvivorsOnDevice)
 
 TEST(IvfDeviceTest, AllPassMaskBitIdenticalToUnfiltered)
 {
-    CISRAM_SKIP_IF_TSAN();
     auto spec = clusteredSpec("ivf-allpass", 3000, 4);
     std::vector<std::vector<int16_t>> queries{
         genQueryForTopic(spec, 1, 600, kSeed),
@@ -429,7 +428,6 @@ TEST(IvfTieTest, AllEqualScoresPinLowestIdsEverywhere)
 
 TEST(IvfTieTest, FleetMergePinsLowestIdsOnAllEqualScores)
 {
-    CISRAM_SKIP_IF_TSAN();
     fleet::FleetConfig cfg;
     cfg.devices = 2;
     cfg.replicas = 1;
@@ -454,7 +452,6 @@ TEST(IvfTieTest, FleetMergePinsLowestIdsOnAllEqualScores)
 
 TEST(IvfOverlapTest, HiddenNeverExceedsEitherOverlappedStage)
 {
-    CISRAM_SKIP_IF_TSAN();
     auto spec = clusteredSpec("ivf-overlap", 40000, 8);
     auto cl = IvfClustering::build(spec, kSeed,
                                    IvfBuildConfig{16, 2048, 3});
@@ -630,7 +627,6 @@ TEST(IvfServingTest, NprobeWithoutClusteringDies)
 
 TEST(IvfServingTest, ParamsSurviveJournalReplayAcrossReset)
 {
-    CISRAM_SKIP_IF_TSAN();
     auto spec = clusteredSpec("ivf-replay", 2000, 4);
     auto flat = buildFlat(spec, kSeed);
 

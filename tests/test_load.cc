@@ -305,9 +305,6 @@ TEST(EpochGolden, TombstonesNeverSurfaceAndInsertsAreLive)
 
 TEST(ServerMutation, DeviceAnswersBitCompareAgainstEachEpoch)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     baseline::RagCorpusSpec base = tinyCorpus();
     const uint64_t seed = 4242;
     baseline::IndexFlatI16 golden(base.dim);

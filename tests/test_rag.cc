@@ -10,6 +10,9 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <map>
+#include <optional>
 
 #include "baseline/faisslite.hh"
 #include "baseline/ivf.hh"
@@ -891,22 +894,142 @@ TEST(RagPins, FunctionalRaggedIvf)
     }
 }
 
-TEST(RagBatch, RunsStageOneAtATimeAndNothingOutlivesTheCall)
+TEST(RagBatch, ResidentRunsAreCompactAndStagedOnce)
 {
-    // nprobe = K over four ~10 K-chunk lists: the centroid run and
-    // the four list runs are one supertile each, staged and freed in
-    // turn, so they all reuse one block of device memory.
+    // One query at nprobe = K probes all four ~10 K-chunk lists: the
+    // first call stages the centroid run and the four list runs in
+    // exactly rows x dim u16 each (a full-width supertile is
+    // (dim + 1) x 32 K lanes) and keeps them; each run's admit plane,
+    // one u16 per row, is freed after its scan. A second call stages
+    // nothing, and the destructor frees every run.
     const RagCorpusSpec spec = raggedSpec(4);
     auto cl = IvfClustering::build(spec, kPinSeed, {4, 8192, 4});
-    PinRig rig(spec, true);
-    apu::DramAllocator &mem = rig.dev.allocator();
-    size_t live = mem.liveCount();
-    uint64_t used = mem.used();
-    RagBatchOptions o;
-    o.search = {4, kFilterAll};
-    o.ivf = &cl;
-    (void)rig.r.retrieveBatch(pinQueries(spec, 4), kPinSeed, o);
-    EXPECT_EQ(mem.liveCount(), live);
-    uint64_t block = (spec.dim + 1) * rig.dev.spec().vrLength * 2;
-    EXPECT_LT(mem.used() - used, 2 * block);
+    apu::ApuDevice dev;
+    dram::DramSystem hbm(dram::hbm2eConfig());
+    apu::DramAllocator &mem = dev.allocator();
+    size_t baseline = mem.liveCount();
+    {
+        RagRetriever r(dev, hbm, spec, 5);
+        RagBatchOptions o;
+        o.search = {4, kFilterAll};
+        o.ivf = &cl;
+        auto qs = pinQueries(spec, 1);
+        size_t live = mem.liveCount();
+        uint64_t used = mem.used();
+        (void)r.retrieveBatch(qs, kPinSeed, o);
+        uint64_t runs = 1 + cl.numLists();
+        uint64_t rows = cl.numLists() + spec.numChunks;
+        EXPECT_LE(mem.used() - used,
+                  rows * spec.dim * 2 + rows * 2 + 2 * runs * 512);
+        EXPECT_EQ(mem.liveCount(), live + runs);
+
+        live = mem.liveCount();
+        used = mem.used();
+        (void)r.retrieveBatch(qs, kPinSeed, o);
+        EXPECT_EQ(mem.liveCount(), live);
+        EXPECT_EQ(mem.used(), used);
+    }
+    EXPECT_EQ(mem.liveCount(), baseline);
+}
+
+TEST(RagBatch, WarmRetrieverAnswersExactlyLikeAFreshOne)
+{
+    // Every entry point, twice and interleaved, on one retriever that
+    // keeps its staged runs: each call must match the same call on a
+    // fresh retriever in its hits, every stage latency and every
+    // CycleStats number. One ragged supertile, four topics, and a
+    // short dim (padded to 64 by the spatial mapping) to keep the
+    // sanitizer copy quick.
+    const RagCorpusSpec spec{"warm", 0, 6000, 40, 0, 4};
+    // The second clustering is built in the first one's storage, so
+    // the retriever must notice new content at the same address.
+    std::optional<IvfClustering> cl;
+    cl.emplace(IvfClustering::build(spec, kPinSeed, {4, 2048, 4}));
+    const auto first_lists = cl->listOffsets();
+    auto query = genQueryForTopic(spec, 1, 950, kPinSeed);
+
+    using Results = std::vector<RagRunResult>;
+    using Call = std::function<Results(RagRetriever &, uint64_t seed)>;
+    auto batch = [&](size_t b, RagSearchParams search) -> Call {
+        return [&spec, &cl, b, search](RagRetriever &r, uint64_t seed) {
+            RagBatchOptions o;
+            o.overlapStream = true;
+            o.search = search;
+            o.ivf = search.nprobe ? &*cl : nullptr;
+            return r.retrieveBatch(pinQueries(spec, b), seed, o);
+        };
+    };
+    auto single = [&](RagVariant v) -> Call {
+        return [&query, v](RagRetriever &r, uint64_t seed) {
+            return Results{r.retrieve(query, v, seed)};
+        };
+    };
+    const std::vector<std::pair<std::string, Call>> calls = {
+        {"exhaustive", batch(3, {})},
+        {"nprobe 1", batch(2, {1, kFilterAll})},
+        {"temporal", single(RagVariant::AllOpts)},
+        {"nprobe K", batch(4, {4, kFilterAll})},
+        {"spatial", single(RagVariant::NoOpt)},
+        {"filtered", batch(3, {0, 0x5a})},
+        {"gf16",
+         [&query](RagRetriever &r, uint64_t seed) {
+             return Results{r.retrieveGf16(query, seed)};
+         }},
+    };
+
+    /** One call on a fresh retriever, with its core's CycleStats. */
+    struct Fresh
+    {
+        Results res;
+        std::vector<SimPin> pins;
+        std::map<std::string, double> breakdown;
+    };
+    auto fresh = [&](const Call &call, uint64_t seed) {
+        PinRig rig(spec, true);
+        Fresh f{call(rig.r, seed), {}, {}};
+        for (const RagRunResult &r : f.res)
+            f.pins.push_back(simPin(r, rig.dev));
+        f.breakdown = rig.dev.core(0).stats().breakdown();
+        return f;
+    };
+    PinRig warm(spec, true);
+    auto expectWarm = [&](const std::string &what, const Call &call,
+                          uint64_t seed, const Fresh &want) {
+        Results got = call(warm.r, seed);
+        EXPECT_EQ(got.size(), want.res.size()) << what;
+        for (size_t q = 0; q < std::min(got.size(), want.res.size());
+             ++q) {
+            EXPECT_EQ(got[q].hits, want.res[q].hits) << what << " " << q;
+            expectPin(simPin(got[q], warm.dev), want.pins[q], what);
+        }
+        EXPECT_EQ(warm.dev.core(0).stats().breakdown(), want.breakdown)
+            << what;
+    };
+
+    std::vector<Fresh> want;
+    for (const auto &c : calls)
+        want.push_back(fresh(c.second, kPinSeed));
+    for (int pass = 0; pass < 2; ++pass)
+        for (size_t i = 0; i < calls.size(); ++i)
+            expectWarm(calls[i].first + " pass " + std::to_string(pass),
+                       calls[i].second, kPinSeed, want[i]);
+
+    // Another clustering of the same corpus restages the IVF runs.
+    cl.emplace(IvfClustering::build(spec, kPinSeed, {3, 2048, 4}));
+    ASSERT_NE(cl->listOffsets(), first_lists);
+    for (size_t i : {1, 3})
+        expectWarm(calls[i].first + " second clustering",
+                   calls[i].second, kPinSeed,
+                   fresh(calls[i].second, kPinSeed));
+
+    // Another seed restages every layout: the exhaustive run, the IVF
+    // runs, the spatial tiles and the gf16 planes. Its answers
+    // differ, so a stale layout could not match.
+    uint64_t seed2 = kPinSeed + 1;
+    for (size_t i : {0, 3, 4, 6}) {
+        const auto &[name, call] = calls[i];
+        Fresh f = fresh(call, seed2);
+        EXPECT_NE(f.res[0].hits, want[i].res[0].hits) << name;
+        expectWarm(name + " second seed", call, seed2, f);
+    }
 }

@@ -275,9 +275,6 @@ TEST(ServingBatch, EveryBatchSizeMatchesSingleRetrieval)
 
 TEST(ServingBatch, OverlapDoesNotChangeFunctionalResults)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     RagCorpusSpec corpus{"unit", 0, 2000, 368};
     apu::ApuDevice dev;
     dram::DramSystem hbm(dram::hbm2eConfig());
@@ -421,9 +418,6 @@ struct ServingFixture
 
 TEST(DeviceServerTest, PipelineServesCorrectAnswers)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     ServingFixture fx;
     ServerConfig cfg;
     cfg.batch = BatchPolicy{4, 4};
