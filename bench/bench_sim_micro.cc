@@ -13,11 +13,11 @@
  *
  *  - `--report-only`: skips the timing loops and instead runs a small
  *    fixed workload, emitting BENCH_sim_micro.json via BenchReport so
- *    the bench_compare gate can track the micro-op engine. The gated
- *    scalars (identity checks, plan-cache hit rate) are simulated
- *    quantities and bit-identical on any machine; host timings are
- *    reported under wall/host keys, which the gate classifies as
- *    informational.
+ *    the bench_compare gate can track the micro-op engine and the
+ *    lane-extent model. The gated scalars (identity checks,
+ *    plan-cache hit rate) are simulated quantities and bit-identical
+ *    on any machine; host timings are reported under wall/host keys,
+ *    which the gate classifies as informational.
  */
 
 #include <benchmark/benchmark.h>
@@ -25,16 +25,21 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <functional>
+#include <iterator>
 
 #include "apusim/apu.hh"
 #include "apusim/bitproc.hh"
 #include "apusim/vr_file.hh"
+#include "baseline/workloads.hh"
 #include "bench_report.hh"
+#include "common/metrics.hh"
 #include "dramsim/dram_sim.hh"
 #include "gvml/gvml.hh"
 #include "gvml/microcode.hh"
 #include "common/rng.hh"
 #include "kernels/bmm.hh"
+#include "kernels/rag.hh"
 #include "kernels/sort.hh"
 
 using namespace cisram;
@@ -42,11 +47,26 @@ using namespace cisram::gvml;
 
 namespace {
 
+/**
+ * Fill VRs 1 and 2 with data in every lane, so an element-wise op
+ * over them evaluates all g.length() lanes (fresh registers have an
+ * empty lane extent).
+ */
+void
+fillOperands(Gvml &g)
+{
+    Rng rng(4);
+    for (unsigned r : {1u, 2u})
+        for (auto &v : g.data(Vr(r)))
+            v = rng.nextU16();
+}
+
 void
 BM_GvmlAddU16(benchmark::State &state)
 {
     apu::ApuDevice dev;
     Gvml g(dev.core(0));
+    fillOperands(g);
     for (auto _ : state)
         g.addU16(Vr(0), Vr(1), Vr(2));
     state.SetItemsProcessed(state.iterations() *
@@ -59,6 +79,7 @@ BM_GvmlMulS16(benchmark::State &state)
 {
     apu::ApuDevice dev;
     Gvml g(dev.core(0));
+    fillOperands(g);
     for (auto _ : state)
         g.mulS16(Vr(0), Vr(1), Vr(2));
     state.SetItemsProcessed(state.iterations() *
@@ -171,6 +192,123 @@ elapsedSeconds(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - t0)
         .count();
+}
+
+/**
+ * Lane-extent identity over the per-supertile op sequence of
+ * RagRetriever::retrieveBatch, for one ragged supertile of 1000
+ * corpus rows at batch 2: plane ingest (the rows as the slot's head,
+ * a zero tail), load16 and macImmS16 per dimension, then the admit
+ * plane, the bias xor16, the cpyImm16Nmsk mask and top-5 extraction.
+ * Core 0 starts from random heads and tails; core 1 holds the same
+ * contents and materializes every register before each op, i.e.
+ * evaluates at full width. True when the two agree on every lane of
+ * every VR and VMR after every op, on the winners, cycles and uops.
+ */
+bool
+laneExtentIdentity()
+{
+    constexpr size_t rows = 1000, dim = 16, k = 5;
+    const baseline::RagCorpusSpec spec{"ragged", 0, rows, dim};
+    std::vector<int16_t> emb = baseline::genEmbeddings(spec, 0, rows, 5);
+    std::vector<int16_t> q0 = baseline::genQuery(dim, 1),
+                         q1 = baseline::genQuery(dim, 2);
+
+    using Step = std::function<void(apu::ApuCore &, std::vector<uint64_t> &)>;
+    std::vector<Step> steps;
+    auto op = [&](auto fn) {
+        steps.push_back([fn](apu::ApuCore &core, std::vector<uint64_t> &) {
+            Gvml g(core);
+            fn(g);
+        });
+    };
+    auto ingest = [&](unsigned vmr, std::vector<uint16_t> plane) {
+        steps.push_back([vmr, plane](apu::ApuCore &core,
+                                     std::vector<uint64_t> &) {
+            apu::LaneVector &slot = core.l1().lanes(vmr);
+            std::copy(plane.begin(), plane.end(), slot.head());
+            slot.setExtent(plane.size(), 0);
+        });
+    };
+    const Vr accs[2] = {Vr(8), Vr(9)};
+    op([](Gvml &g) { g.cpyImm16(Vr(4), 0x8000); });
+    for (Vr a : accs)
+        op([a](Gvml &g) { g.cpyImm16(a, 0); });
+    for (size_t d = 0; d < dim; ++d) {
+        std::vector<uint16_t> plane(rows);
+        for (size_t i = 0; i < rows; ++i)
+            plane[i] = static_cast<uint16_t>(emb[i * dim + d]);
+        ingest(0, std::move(plane));
+        op([](Gvml &g) { g.load16(Vr(0), Vmr(0)); });
+        const uint16_t imm0 = static_cast<uint16_t>(q0[d]),
+                       imm1 = static_cast<uint16_t>(q1[d]);
+        op([=](Gvml &g) {
+            const uint16_t imms[2] = {imm0, imm1};
+            g.macImmS16(Vr(0), Vr(1), Vr(2), accs, imms, 2);
+        });
+    }
+    std::vector<uint16_t> admit(rows);
+    for (size_t i = 0; i < rows; ++i)
+        admit[i] = i % 4 != 0;
+    ingest(1, std::move(admit));
+    op([](Gvml &g) { g.load16(Vr(6), Vmr(1)); });
+    for (Vr a : accs) {
+        op([a](Gvml &g) { g.xor16(a, a, Vr(4)); });
+        op([a](Gvml &g) { g.cpyImm16Nmsk(a, 0x0000, Vr(6)); });
+        for (size_t i = 0; i < k; ++i)
+            steps.push_back([a](apu::ApuCore &core,
+                                std::vector<uint64_t> &w) {
+                auto mx = Gvml(core).maxIndexU16(a);
+                w.push_back(static_cast<uint64_t>(mx.value) << 32 |
+                            mx.index);
+                core.rspSet(a.idx, mx.index, 0);
+            });
+    }
+
+    apu::ApuDevice dev;
+    apu::ApuCore &narrow = dev.core(0), &full = dev.core(1);
+    // Random heads of assorted extents and random tails on core 0,
+    // the same lanes materialized on core 1.
+    const size_t his[] = {0, 1, 63, 1000, narrow.vr().length()};
+    Rng rng(6);
+    auto seed = [&](apu::LaneVector &v, std::vector<uint16_t> &out,
+                    size_t k) {
+        size_t hi = his[k % std::size(his)];
+        for (size_t i = 0; i < hi; ++i)
+            v.head()[i] = rng.nextU16();
+        v.setExtent(hi, rng.nextU16());
+        for (size_t i = 0; i < out.size(); ++i)
+            out[i] = v.lane(i);
+    };
+    for (unsigned r = 0; r < narrow.vr().numVrs(); ++r)
+        seed(narrow.vr().lanes(r), full.vr()[r], r);
+    for (unsigned m = 0; m < narrow.l1().numVmrs(); ++m)
+        seed(narrow.l1().lanes(m), full.l1().slot(m), m);
+
+    auto sameLanes = [&](const apu::LaneVector &a,
+                         const std::vector<uint16_t> &b) {
+        for (size_t i = 0; i < b.size(); ++i)
+            if (a.lane(i) != b[i])
+                return false;
+        return true;
+    };
+    std::vector<uint64_t> winners[2];
+    bool same = true;
+    for (const Step &step : steps) {
+        step(narrow, winners[0]);
+        for (unsigned r = 0; r < full.vr().numVrs(); ++r)
+            full.vr()[r];
+        for (unsigned m = 0; m < full.l1().numVmrs(); ++m)
+            full.l1().slot(m);
+        step(full, winners[1]);
+        for (unsigned r = 0; r < narrow.vr().numVrs(); ++r)
+            same = same && sameLanes(narrow.vr().lanes(r), full.vr()[r]);
+        for (unsigned m = 0; m < narrow.l1().numVmrs(); ++m)
+            same = same && sameLanes(narrow.l1().lanes(m), full.l1().slot(m));
+    }
+    return same && winners[0] == winners[1] &&
+        narrow.stats().cycles() == full.stats().cycles() &&
+        narrow.stats().uops() == full.stats().uops();
 }
 
 /**
@@ -300,6 +438,29 @@ runSimMicroReport()
                       secs > 0.0 ? static_cast<double>(uops) / secs /
                                        1e6
                                  : 0.0);
+    }
+
+    // The retrieval sections run with detailed metrics off, so the
+    // snapshot's per-op counters stay those of the fused-MAC section.
+    metrics::setEnabled(false);
+
+    report.scalar("lane_extent_identity",
+                  laneExtentIdentity() ? 1.0 : 0.0);
+
+    // Host time of one warm functional batch-1 retrieveBatch over a
+    // 1 024-row shard (informational: varies by machine).
+    {
+        apu::ApuDevice dev;
+        dram::DramSystem hbm(dram::hbm2eConfig());
+        const baseline::RagCorpusSpec shard{"shard", 0, 1024, 368};
+        kernels::RagRetriever r(dev, hbm, shard, 10);
+        const std::vector<std::vector<int16_t>> qs = {
+            baseline::genQuery(shard.dim, 1)};
+        r.retrieveBatch(qs, 77); // stages the shard's planes
+        auto t0 = std::chrono::steady_clock::now();
+        auto res = r.retrieveBatch(qs, 77);
+        benchmark::DoNotOptimize(res);
+        report.scalar("rag_scan_host_wall_seconds", elapsedSeconds(t0));
     }
 
     report.write();

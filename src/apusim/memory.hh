@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "apusim/apu_spec.hh"
+#include "apusim/lane_vector.hh"
 #include "common/logging.hh"
 
 namespace cisram::apu {
@@ -253,14 +254,14 @@ class SramBuffer
  * L1: the bank of vector memory registers backing the compute VRs.
  *
  * Transfers to/from L1 happen only at full-vector granularity
- * (Section 2.1.2), which the VMR interface enforces.
+ * (Section 2.1.2), which the VMR interface enforces. Each slot is a
+ * LaneVector, like a VR.
  */
 class VmrFile
 {
   public:
     VmrFile(unsigned num_vmrs, size_t vr_length)
-        : vrLength(vr_length),
-          slots(num_vmrs, std::vector<uint16_t>(vr_length, 0))
+        : vrLength(vr_length), slots(num_vmrs, LaneVector(vr_length))
     {}
 
     unsigned numVmrs() const
@@ -270,15 +271,32 @@ class VmrFile
 
     size_t length() const { return vrLength; }
 
+    /**
+     * Slot `i`, materialized (LaneVector::full()): the reference
+     * stays valid only until the next extent-aware op writes slot i.
+     */
     std::vector<uint16_t> &
     slot(unsigned i)
+    {
+        return lanes(i).full();
+    }
+
+    const std::vector<uint16_t> &
+    slot(unsigned i) const
+    {
+        return lanes(i).full();
+    }
+
+    /** Slot `i` as head and tail, for the extent-aware ops. */
+    LaneVector &
+    lanes(unsigned i)
     {
         cisram_assert(i < slots.size(), "VMR index OOB: ", i);
         return slots[i];
     }
 
-    const std::vector<uint16_t> &
-    slot(unsigned i) const
+    const LaneVector &
+    lanes(unsigned i) const
     {
         cisram_assert(i < slots.size(), "VMR index OOB: ", i);
         return slots[i];
@@ -286,7 +304,7 @@ class VmrFile
 
   private:
     size_t vrLength;
-    std::vector<std::vector<uint16_t>> slots;
+    std::vector<LaneVector> slots;
 };
 
 } // namespace cisram::apu

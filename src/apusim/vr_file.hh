@@ -4,7 +4,8 @@
  *
  * 24 computation-enabled vector registers of 32768 x 16-bit elements,
  * physically striped across 16 banks of 2048 elements (paper Fig. 4).
- * Word-level storage is the primary representation; the bit-slice
+ * Word-level storage is the primary representation, one LaneVector
+ * (a stored head plus a uniform tail) per register; the bit-slice
  * engine extracts and inserts bit planes on demand.
  */
 
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "apusim/lane_vector.hh"
 #include "common/bitutils.hh"
 #include "common/logging.hh"
 
@@ -26,7 +28,7 @@ class VrFile
     VrFile(unsigned num_vrs, size_t vr_length, unsigned num_banks)
         : length_(vr_length), numBanks_(num_banks),
           bankElems_(vr_length / num_banks),
-          regs(num_vrs, std::vector<uint16_t>(vr_length, 0))
+          regs(num_vrs, LaneVector(vr_length))
     {
         cisram_assert(vr_length % num_banks == 0);
     }
@@ -36,15 +38,32 @@ class VrFile
     unsigned numBanks() const { return numBanks_; }
     size_t bankElems() const { return bankElems_; }
 
+    /**
+     * Register `vr`, materialized (LaneVector::full()): the reference
+     * stays valid only until the next extent-aware op writes `vr`.
+     */
     std::vector<uint16_t> &
     operator[](unsigned vr)
+    {
+        return lanes(vr).full();
+    }
+
+    const std::vector<uint16_t> &
+    operator[](unsigned vr) const
+    {
+        return lanes(vr).full();
+    }
+
+    /** Register `vr` as head and tail, for the extent-aware ops. */
+    LaneVector &
+    lanes(unsigned vr)
     {
         cisram_assert(vr < regs.size(), "VR index OOB: ", vr);
         return regs[vr];
     }
 
-    const std::vector<uint16_t> &
-    operator[](unsigned vr) const
+    const LaneVector &
+    lanes(unsigned vr) const
     {
         cisram_assert(vr < regs.size(), "VR index OOB: ", vr);
         return regs[vr];
@@ -101,7 +120,7 @@ class VrFile
     size_t length_;
     unsigned numBanks_;
     size_t bankElems_;
-    std::vector<std::vector<uint16_t>> regs;
+    std::vector<LaneVector> regs;
 };
 
 } // namespace cisram::apu

@@ -96,6 +96,22 @@ Router::Router(const baseline::RagCorpusSpec &corpus,
         routerBreakers_.emplace_back(cfg_.server.breakerThreshold,
                                      cfg_.server.breakerCooldown);
 
+    // One exact index per shard, shared read-only by the servers of
+    // its replicas.
+    if (cfg_.functional) {
+        for (unsigned s = 0; s < shards_; ++s) {
+            ShardRange range = shardChunkRange(corpus_.numChunks,
+                                               shards_, s);
+            auto golden =
+                std::make_unique<baseline::IndexFlatI16>(corpus_.dim);
+            std::vector<int16_t> emb = baseline::genEmbeddings(
+                corpus_, range.firstChunk, range.numChunks,
+                corpusSeed_);
+            golden->add(emb.data(), range.numChunks);
+            goldens_.push_back(std::move(golden));
+        }
+    }
+
     apu::ApuSpec spec = apu::defaultSpec();
     spec.numCores = cfg_.coresPerDevice;
 
@@ -124,15 +140,6 @@ Router::Router(const baseline::RagCorpusSpec &corpus,
             ss.spec.numChunks = ss.range.numChunks;
             ss.spec.firstChunk = ss.range.firstChunk;
 
-            if (cfg_.functional) {
-                ss.golden = std::make_unique<baseline::IndexFlatI16>(
-                    corpus_.dim);
-                std::vector<int16_t> emb = baseline::genEmbeddings(
-                    ss.spec, ss.range.firstChunk,
-                    ss.range.numChunks, corpusSeed_);
-                ss.golden->add(emb.data(), ss.range.numChunks);
-            }
-
             kernels::ServerConfig scfg = cfg_.server;
             scfg.topK = cfg_.topK;
             scfg.deviceIndex = d;
@@ -144,7 +151,8 @@ Router::Router(const baseline::RagCorpusSpec &corpus,
                 cfg_.coresPerDevice;
 
             ss.server = std::make_unique<kernels::DeviceServer>(
-                *fd.dev, ss.spec, core, ss.golden.get(),
+                *fd.dev, ss.spec, core,
+                cfg_.functional ? goldens_[s].get() : nullptr,
                 corpusSeed_, scfg);
             fd.servers.push_back(std::move(ss));
         }

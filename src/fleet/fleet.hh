@@ -327,7 +327,6 @@ class Router
         unsigned shard = 0;
         ShardRange range;
         baseline::RagCorpusSpec spec;
-        std::unique_ptr<baseline::IndexFlatI16> golden;
         std::unique_ptr<kernels::DeviceServer> server;
 
         /**
@@ -423,6 +422,8 @@ class Router
     unsigned shards_;
     std::vector<std::vector<unsigned>> placement_;
     Fabric fabric_;
+    /** Functional fleets: shard s's exact index; outlives fleet_. */
+    std::vector<std::unique_ptr<baseline::IndexFlatI16>> goldens_;
     std::vector<FleetDevice> fleet_;
     std::vector<kernels::CircuitBreaker> routerBreakers_;
     obs::FlightRecorder flight_;

@@ -298,6 +298,8 @@ class Gvml
     }
 
     // ---- direct element access (tests / host glue) ---------------
+    // Materialized (VrFile::operator[]): a reference stays valid only
+    // until the next extent-aware op writes the register.
     std::vector<uint16_t> &
     data(Vr v)
     {
@@ -311,17 +313,21 @@ class Gvml
     }
 
   private:
+    // The element-wise bodies are templated on the lane functor so
+    // each op's lane loop inlines it: through a function pointer,
+    // every lane would pay an indirect call.
+
     /** Apply a binary element-wise op with cost `cycles`. */
-    void ewise2(Vr dst, Vr a, Vr b, uint64_t cycles,
-                uint16_t (*fn)(uint16_t, uint16_t));
+    template <typename Fn>
+    void ewise2(Vr dst, Vr a, Vr b, uint64_t cycles, Fn fn);
 
     /** Masked binary op: writes only where mark is non-zero. */
-    void ewise2Msk(Vr dst, Vr a, Vr b, Vr mark, uint64_t cycles,
-                   uint16_t (*fn)(uint16_t, uint16_t));
+    template <typename Fn>
+    void ewise2Msk(Vr dst, Vr a, Vr b, Vr mark, uint64_t cycles, Fn fn);
 
     /** Apply a unary element-wise op with cost `cycles`. */
-    void ewise1(Vr dst, Vr a, uint64_t cycles,
-                uint16_t (*fn)(uint16_t));
+    template <typename Fn>
+    void ewise1(Vr dst, Vr a, uint64_t cycles, Fn fn);
 
     apu::ApuCore &core_;
 };

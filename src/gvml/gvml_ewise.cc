@@ -36,30 +36,67 @@ asU16(int32_t v)
 
 } // namespace
 
+// The lane loops run over the inputs' common extent and apply the op
+// to the tails once (apusim/lane_vector.hh). The tail is computed
+// before the loop, as `dst` may alias an input.
+
+template <typename Fn>
 void
-Gvml::ewise2(Vr dst, Vr a, Vr b, uint64_t cycles,
-             uint16_t (*fn)(uint16_t, uint16_t))
+Gvml::ewise2(Vr dst, Vr a, Vr b, uint64_t cycles, Fn fn)
 {
     core_.chargeVectorOp(cycles);
     if (!core_.functional())
         return;
-    auto &d = core_.vr()[dst.idx];
-    const auto &x = core_.vr()[a.idx];
-    const auto &y = core_.vr()[b.idx];
-    for (size_t i = 0; i < d.size(); ++i)
-        d[i] = fn(x[i], y[i]);
+    apu::VrFile &vrs = core_.vr();
+    const apu::LaneVector &x = vrs.lanes(a.idx), &y = vrs.lanes(b.idx);
+    size_t h = apu::widenAll(x, y);
+    uint16_t tail = fn(x.tail(), y.tail());
+    apu::LaneVector &d = vrs.lanes(dst.idx);
+    uint16_t *out = d.head();
+    const uint16_t *xs = x.head(), *ys = y.head();
+    for (size_t i = 0; i < h; ++i)
+        out[i] = fn(xs[i], ys[i]);
+    d.setExtent(h, tail);
 }
 
+template <typename Fn>
 void
-Gvml::ewise1(Vr dst, Vr a, uint64_t cycles, uint16_t (*fn)(uint16_t))
+Gvml::ewise1(Vr dst, Vr a, uint64_t cycles, Fn fn)
 {
     core_.chargeVectorOp(cycles);
     if (!core_.functional())
         return;
-    auto &d = core_.vr()[dst.idx];
-    const auto &x = core_.vr()[a.idx];
-    for (size_t i = 0; i < d.size(); ++i)
-        d[i] = fn(x[i]);
+    apu::VrFile &vrs = core_.vr();
+    const apu::LaneVector &x = vrs.lanes(a.idx);
+    size_t h = x.hi();
+    uint16_t tail = fn(x.tail());
+    apu::LaneVector &d = vrs.lanes(dst.idx);
+    uint16_t *out = d.head();
+    const uint16_t *xs = x.head();
+    for (size_t i = 0; i < h; ++i)
+        out[i] = fn(xs[i]);
+    d.setExtent(h, tail);
+}
+
+template <typename Fn>
+void
+Gvml::ewise2Msk(Vr dst, Vr a, Vr b, Vr mark, uint64_t cycles, Fn fn)
+{
+    core_.chargeVectorOp(cycles + core_.timing().compute.selectMsk);
+    if (!core_.functional())
+        return;
+    apu::VrFile &vrs = core_.vr();
+    apu::LaneVector &d = vrs.lanes(dst.idx);
+    const apu::LaneVector &x = vrs.lanes(a.idx), &y = vrs.lanes(b.idx),
+                          &m = vrs.lanes(mark.idx);
+    size_t h = apu::widenAll(d, x, y, m);
+    uint16_t tail = m.tail() ? fn(x.tail(), y.tail()) : d.tail();
+    uint16_t *out = d.head();
+    const uint16_t *xs = x.head(), *ys = y.head(), *ms = m.head();
+    for (size_t i = 0; i < h; ++i)
+        if (ms[i])
+            out[i] = fn(xs[i], ys[i]);
+    d.setExtent(h, tail);
 }
 
 void
@@ -238,44 +275,33 @@ void
 Gvml::ashImm16(Vr dst, Vr a, int sh)
 {
     trace::OpScope traceOp_("gvml.ashImm16");
-    core_.chargeVectorOp(core_.timing().compute.ashift);
-    if (!core_.functional())
-        return;
-    auto &d = core_.vr()[dst.idx];
-    const auto &x = core_.vr()[a.idx];
-    for (size_t i = 0; i < d.size(); ++i) {
-        int16_t v = asS16(x[i]);
-        if (sh >= 0)
-            d[i] = asU16(static_cast<int32_t>(v) << sh);
-        else
-            d[i] = asU16(static_cast<int16_t>(v >> (-sh)));
-    }
+    ewise1(dst, a, core_.timing().compute.ashift,
+           [sh](uint16_t x) -> uint16_t {
+               int16_t v = asS16(x);
+               if (sh >= 0)
+                   return asU16(static_cast<int32_t>(v) << sh);
+               return asU16(static_cast<int16_t>(v >> (-sh)));
+           });
 }
 
 void
 Gvml::srImm16(Vr dst, Vr a, unsigned sh)
 {
     trace::OpScope traceOp_("gvml.srImm16");
-    core_.chargeVectorOp(core_.timing().compute.srImm);
-    if (!core_.functional())
-        return;
-    auto &d = core_.vr()[dst.idx];
-    const auto &x = core_.vr()[a.idx];
-    for (size_t i = 0; i < d.size(); ++i)
-        d[i] = static_cast<uint16_t>(x[i] >> sh);
+    ewise1(dst, a, core_.timing().compute.srImm,
+           [sh](uint16_t x) -> uint16_t {
+               return static_cast<uint16_t>(x >> sh);
+           });
 }
 
 void
 Gvml::slImm16(Vr dst, Vr a, unsigned sh)
 {
     trace::OpScope traceOp_("gvml.slImm16");
-    core_.chargeVectorOp(core_.timing().compute.slImm);
-    if (!core_.functional())
-        return;
-    auto &d = core_.vr()[dst.idx];
-    const auto &x = core_.vr()[a.idx];
-    for (size_t i = 0; i < d.size(); ++i)
-        d[i] = static_cast<uint16_t>(x[i] << sh);
+    ewise1(dst, a, core_.timing().compute.slImm,
+           [sh](uint16_t x) -> uint16_t {
+               return static_cast<uint16_t>(x << sh);
+           });
 }
 
 void
@@ -376,22 +402,6 @@ Gvml::cosFx(Vr dst, Vr phase)
            [](uint16_t x) -> uint16_t {
                return asU16(cisram::cosFx(x));
            });
-}
-
-void
-Gvml::ewise2Msk(Vr dst, Vr a, Vr b, Vr mark, uint64_t cycles,
-                uint16_t (*fn)(uint16_t, uint16_t))
-{
-    core_.chargeVectorOp(cycles + core_.timing().compute.selectMsk);
-    if (!core_.functional())
-        return;
-    auto &d = core_.vr()[dst.idx];
-    const auto &x = core_.vr()[a.idx];
-    const auto &y = core_.vr()[b.idx];
-    const auto &m = core_.vr()[mark.idx];
-    for (size_t i = 0; i < d.size(); ++i)
-        if (m[i])
-            d[i] = fn(x[i], y[i]);
 }
 
 void

@@ -60,28 +60,40 @@ Gvml::macImmS16(Vr emb, Vr scratch_q, Vr scratch_t, const Vr *accs,
             core_.chargeVectorOp(t.compute.addS16);
         }
         if (fnl) {
-            const auto &e = core_.vr()[emb.idx];
-            auto &a = core_.vr()[accs[q].idx];
+            // Over the common extent of emb and the accumulator;
+            // the tails accumulate once (apusim/lane_vector.hh).
+            const apu::LaneVector &e = core_.vr().lanes(emb.idx);
+            apu::LaneVector &a = core_.vr().lanes(accs[q].idx);
+            size_t h = apu::widenAll(e, a);
             int16_t w = asS16(imms[q]);
-            for (size_t i = 0; i < a.size(); ++i) {
-                uint16_t prod = asU16(
-                    static_cast<int32_t>(asS16(e[i])) * w);
-                a[i] = asU16(static_cast<int32_t>(asS16(a[i])) +
+            auto mac = [w](uint16_t acc, uint16_t x) {
+                uint16_t prod = asU16(static_cast<int32_t>(asS16(x)) * w);
+                return asU16(static_cast<int32_t>(asS16(acc)) +
                              asS16(prod));
-            }
+            };
+            uint16_t tail = mac(a.tail(), e.tail());
+            uint16_t *as = a.head();
+            const uint16_t *es = e.head();
+            for (size_t i = 0; i < h; ++i)
+                as[i] = mac(as[i], es[i]);
+            a.setExtent(h, tail);
         }
     }
     if (fnl && n > 0) {
         // The last query's broadcast and product planes are what the
         // unfused sequence leaves behind in the scratch registers.
-        auto &qv = core_.vr()[scratch_q.idx];
-        std::fill(qv.begin(), qv.end(), imms[n - 1]);
-        const auto &e = core_.vr()[emb.idx];
-        auto &tv = core_.vr()[scratch_t.idx];
+        core_.vr().lanes(scratch_q.idx).setExtent(0, imms[n - 1]);
+        const apu::LaneVector &e = core_.vr().lanes(emb.idx);
+        apu::LaneVector &tv = core_.vr().lanes(scratch_t.idx);
         int16_t w = asS16(imms[n - 1]);
-        for (size_t i = 0; i < tv.size(); ++i)
-            tv[i] =
-                asU16(static_cast<int32_t>(asS16(e[i])) * w);
+        auto mul = [w](uint16_t x) {
+            return asU16(static_cast<int32_t>(asS16(x)) * w);
+        };
+        uint16_t *ts = tv.head();
+        const uint16_t *es = e.head();
+        for (size_t i = 0; i < e.hi(); ++i)
+            ts[i] = mul(es[i]);
+        tv.setExtent(e.hi(), mul(e.tail()));
     }
 }
 
@@ -108,18 +120,30 @@ Gvml::macImmGf16(Vr emb, Vr scratch_q, Vr scratch_t, Vr acc,
     if (!core_.functional())
         return;
     GsiFloat16 w = GsiFloat16::fromBits(imm);
-    const auto &e = core_.vr()[emb.idx];
-    auto &a = core_.vr()[acc.idx];
-    auto &qv = core_.vr()[scratch_q.idx];
-    auto &tv = core_.vr()[scratch_t.idx];
-    for (size_t i = 0; i < a.size(); ++i) {
-        uint16_t prod = (GsiFloat16::fromBits(e[i]) * w).bits();
-        a[i] = (GsiFloat16::fromBits(a[i]) +
-                GsiFloat16::fromBits(prod))
-                   .bits();
-        tv[i] = prod;
+    auto mul = [w](uint16_t x) {
+        return (GsiFloat16::fromBits(x) * w).bits();
+    };
+    auto add = [](uint16_t x, uint16_t y) {
+        return (GsiFloat16::fromBits(x) + GsiFloat16::fromBits(y))
+            .bits();
+    };
+    // Over the common extent of emb and acc, as macImmS16.
+    const apu::LaneVector &e = core_.vr().lanes(emb.idx);
+    apu::LaneVector &a = core_.vr().lanes(acc.idx);
+    apu::LaneVector &tv = core_.vr().lanes(scratch_t.idx);
+    size_t h = apu::widenAll(e, a);
+    uint16_t tail_prod = mul(e.tail());
+    uint16_t tail_acc = add(a.tail(), tail_prod);
+    uint16_t *as = a.head(), *ts = tv.head();
+    const uint16_t *es = e.head();
+    for (size_t i = 0; i < h; ++i) {
+        uint16_t prod = mul(es[i]);
+        as[i] = add(as[i], prod);
+        ts[i] = prod;
     }
-    std::fill(qv.begin(), qv.end(), imm);
+    a.setExtent(h, tail_acc);
+    tv.setExtent(h, tail_prod);
+    core_.vr().lanes(scratch_q.idx).setExtent(0, imm);
 }
 
 } // namespace cisram::gvml

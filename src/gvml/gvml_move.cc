@@ -16,7 +16,7 @@ Gvml::cpy16(Vr dst, Vr src)
     trace::OpScope traceOp_("gvml.cpy16");
     core_.chargeVectorOp(core_.timing().move.cpy);
     if (core_.functional())
-        core_.vr()[dst.idx] = core_.vr()[src.idx];
+        core_.vr().lanes(dst.idx).assign(core_.vr().lanes(src.idx));
 }
 
 void
@@ -24,11 +24,31 @@ Gvml::cpyImm16(Vr dst, uint16_t imm)
 {
     trace::OpScope traceOp_("gvml.cpyImm16");
     core_.chargeVectorOp(core_.timing().move.cpyImm);
-    if (core_.functional()) {
-        auto &d = core_.vr()[dst.idx];
-        std::fill(d.begin(), d.end(), imm);
-    }
+    if (core_.functional())
+        core_.vr().lanes(dst.idx).setExtent(0, imm);
 }
+
+namespace {
+
+/**
+ * dst[i] = imm wherever (mark[i] != 0) == `marked`, over the common
+ * extent of dst and mark (apusim/lane_vector.hh).
+ */
+void
+fillImm(apu::LaneVector &d, const apu::LaneVector &m, uint16_t imm,
+        bool marked)
+{
+    size_t h = apu::widenAll(d, m);
+    uint16_t tail = (m.tail() != 0) == marked ? imm : d.tail();
+    uint16_t *out = d.head();
+    const uint16_t *ms = m.head();
+    for (size_t i = 0; i < h; ++i)
+        if ((ms[i] != 0) == marked)
+            out[i] = imm;
+    d.setExtent(h, tail);
+}
+
+} // namespace
 
 void
 Gvml::cpy16Msk(Vr dst, Vr src, Vr mark)
@@ -37,12 +57,17 @@ Gvml::cpy16Msk(Vr dst, Vr src, Vr mark)
     core_.chargeVectorOp(core_.timing().compute.selectMsk);
     if (!core_.functional())
         return;
-    auto &d = core_.vr()[dst.idx];
-    const auto &s = core_.vr()[src.idx];
-    const auto &m = core_.vr()[mark.idx];
-    for (size_t i = 0; i < d.size(); ++i)
-        if (m[i])
-            d[i] = s[i];
+    apu::VrFile &vrs = core_.vr();
+    apu::LaneVector &d = vrs.lanes(dst.idx);
+    const apu::LaneVector &s = vrs.lanes(src.idx), &m = vrs.lanes(mark.idx);
+    size_t h = apu::widenAll(d, s, m);
+    uint16_t tail = m.tail() ? s.tail() : d.tail();
+    uint16_t *out = d.head();
+    const uint16_t *ss = s.head(), *ms = m.head();
+    for (size_t i = 0; i < h; ++i)
+        if (ms[i])
+            out[i] = ss[i];
+    d.setExtent(h, tail);
 }
 
 void
@@ -50,13 +75,9 @@ Gvml::cpyImm16Msk(Vr dst, uint16_t imm, Vr mark)
 {
     trace::OpScope traceOp_("gvml.cpyImm16Msk");
     core_.chargeVectorOp(core_.timing().compute.selectMsk);
-    if (!core_.functional())
-        return;
-    auto &d = core_.vr()[dst.idx];
-    const auto &m = core_.vr()[mark.idx];
-    for (size_t i = 0; i < d.size(); ++i)
-        if (m[i])
-            d[i] = imm;
+    if (core_.functional())
+        fillImm(core_.vr().lanes(dst.idx), core_.vr().lanes(mark.idx),
+                imm, true);
 }
 
 void
@@ -66,13 +87,9 @@ Gvml::cpyImm16Nmsk(Vr dst, uint16_t imm, Vr mark)
     // Same bit-processor select as the positive-mask form; the
     // negation is free in the per-lane select logic.
     core_.chargeVectorOp(core_.timing().compute.selectMsk);
-    if (!core_.functional())
-        return;
-    auto &d = core_.vr()[dst.idx];
-    const auto &m = core_.vr()[mark.idx];
-    for (size_t i = 0; i < d.size(); ++i)
-        if (!m[i])
-            d[i] = imm;
+    if (core_.functional())
+        fillImm(core_.vr().lanes(dst.idx), core_.vr().lanes(mark.idx),
+                imm, false);
 }
 
 uint32_t

@@ -87,6 +87,30 @@ searchStepCycles(const apu::TimingParams &t)
     return t.compute.and16 + t.compute.or16 + 4;
 }
 
+/**
+ * The first lane holding the best value under `better`: a scan of
+ * the stored head, then the uniform tail, whose first lane is hi
+ * (apusim/lane_vector.hh).
+ */
+template <typename Better>
+Gvml::MaxResult
+extremum(const apu::LaneVector &s, Better better)
+{
+    if (s.length() == 0)
+        cisram_panic("associative search lost all candidates");
+    if (s.hi() == 0)
+        return {s.tail(), 0};
+    const uint16_t *h = s.head();
+    Gvml::MaxResult best{h[0], 0};
+    for (size_t i = 1; i < s.hi(); ++i) {
+        if (better(h[i], best.value))
+            best = {h[i], i};
+    }
+    if (s.hi() < s.length() && better(s.tail(), best.value))
+        return {s.tail(), s.hi()};
+    return best;
+}
+
 } // namespace
 
 Gvml::MaxResult
@@ -110,18 +134,8 @@ Gvml::maxIndexU16(Vr src)
     // scan returning the first index of the maximum
     // (tests/test_wordparallel.cc pins this against a brute-force
     // reference).
-    const auto &s = core_.vr()[src.idx];
-    if (s.empty())
-        cisram_panic("associative max search lost all candidates");
-    uint16_t value = s[0];
-    size_t index = 0;
-    for (size_t i = 1; i < s.size(); ++i) {
-        if (s[i] > value) {
-            value = s[i];
-            index = i;
-        }
-    }
-    return {value, index};
+    return extremum(core_.vr().lanes(src.idx),
+                    [](uint16_t a, uint16_t b) { return a > b; });
 }
 
 Gvml::MaxResult
@@ -139,18 +153,8 @@ Gvml::minIndexU16(Vr src)
     // Minimum search: identical refinement on complemented bits, so
     // the same single-pass argument applies (see maxIndexU16) with
     // the comparison reversed.
-    const auto &s = core_.vr()[src.idx];
-    if (s.empty())
-        cisram_panic("associative min search lost all candidates");
-    uint16_t value = s[0];
-    size_t index = 0;
-    for (size_t i = 1; i < s.size(); ++i) {
-        if (s[i] < value) {
-            value = s[i];
-            index = i;
-        }
-    }
-    return {value, index};
+    return extremum(core_.vr().lanes(src.idx),
+                    [](uint16_t a, uint16_t b) { return a < b; });
 }
 
 } // namespace cisram::gvml

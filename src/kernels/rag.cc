@@ -204,8 +204,9 @@ struct L4Block
  * corpus stream (the HBM stream itself is timed separately).
  * Supertile st holds its `valid` rows as dim planes of exactly
  * `valid` lanes, plane d holding element d of each row. Ingest
- * zero-fills the lanes past the last row; the admit plane masks them,
- * as their biased-zero dots would outrank real negative scores.
+ * writes those rows as the slot's stored head, with a zero tail for
+ * the lanes past the last row; the admit plane masks them, as their
+ * biased-zero dots would outrank real negative scores.
  */
 class StagedPlanes
 {
@@ -252,14 +253,14 @@ class StagedPlanes
     }
 
     /** Functional ingest of plane d of supertile st into L1 slot vm:
-     * the supertile's rows, then zeros. */
+     * the supertile's rows as the slot's head, then a zero tail. */
     void
     ingest(ApuCore &core, Vmr vm, size_t st, size_t d) const
     {
-        std::vector<uint16_t> &slot = core.l1().slot(vm.idx);
+        apu::LaneVector &slot = core.l1().lanes(vm.idx);
         size_t valid = lanes(st);
-        mem_.dev.l4().read(plane(st, d), slot.data(), valid * 2);
-        std::fill(slot.begin() + valid, slot.end(), 0);
+        mem_.dev.l4().read(plane(st, d), slot.head(), valid * 2);
+        slot.setExtent(valid, 0);
     }
 
   private:
@@ -469,11 +470,16 @@ RagRetriever::retrieveGf16(const std::vector<int16_t> &query,
     res.stages.loadEmbedding = hbm.streamReadSeconds(
         0, static_cast<uint64_t>(res.dramBytes));
 
-    // Dimension-major gf16 planes.
-    const StagedPlanes *planes =
-        fnl ? &stageOnce(resident(corpus_seed).gf16, dev, chunks, dim,
-                         corpusRows(corpus_, corpus_seed), true)
-            : nullptr;
+    // Dimension-major gf16 planes, and an admit plane (1 on every
+    // row) that masks a ragged supertile's padding lanes.
+    const StagedPlanes *planes = nullptr;
+    std::optional<StagedPlanes> admit;
+    if (fnl) {
+        planes = &stageOnce(resident(corpus_seed).gf16, dev, chunks, dim,
+                            corpusRows(corpus_, corpus_seed), true);
+        admit.emplace(dev, chunks, 1,
+                      [](size_t, int16_t *out) { *out = 1; });
+    }
 
     core.stats().reset();
     StageTimer timer(core);
@@ -481,7 +487,7 @@ RagRetriever::retrieveGf16(const std::vector<int16_t> &query,
     core.dmaL4ToL3(0, 0, dim * 2); // bf query layout in L3
     res.stages.loadQuery = dev.cyclesToSeconds(timer.lap());
 
-    const Vr vrOrd{6}, vrS1{7}, vrS2{8};
+    const Vr vrOrd{7}, vrS1{8}, vrS2{9};
     std::vector<Hit> candidates;
     double topk_cycles = 0.0;
     timedLoop(core, supertiles, [&](size_t st) {
@@ -498,15 +504,27 @@ RagRetriever::retrieveGf16(const std::vector<int16_t> &query,
         });
         g.orderGf16(vrOrd, vrAcc, vrS1, vrS2);
 
-        double before = core.stats().cycles();
+        // Padding lanes hold gf16 +0.0, whose key (0x8000) outranks
+        // every negative score: a ragged supertile masks them to key
+        // 0x0000 with retrieveBatch's admit-plane select. TimingOnly
+        // prices every supertile as full, as its extraction does.
         size_t valid = fnl ? std::min(l, chunks - st * l) : l;
+        if (valid < l) {
+            core.chargeRaw(ingestCycles(t, true));
+            admit->ingest(core, vmAdmit, st, 0);
+            g.load16(vrAdmit, vmAdmit);
+            g.cpyImm16Nmsk(vrOrd, 0x0000, vrAdmit);
+        }
+
+        double before = core.stats().cycles();
         // Extract against the ordered keys; recover the gf16 score
-        // from the accumulator at the winning index.
+        // from the accumulator at the winning index. A cleared or
+        // masked key (0) is no hit.
         for (size_t k = 0; k < topK; ++k) {
             auto mx = g.maxIndexU16(vrOrd);
             core.rspSet(vrOrd.idx, fnl ? mx.index : 0, 0);
-            if (fnl && mx.index < valid) {
-                uint16_t bits = core.vr()[vrAcc.idx][mx.index];
+            if (fnl && mx.index < valid && mx.value != 0) {
+                uint16_t bits = core.vr().lanes(vrAcc.idx).lane(mx.index);
                 candidates.push_back(
                     {GsiFloat16::fromBits(bits).toFloat(),
                      st * l + mx.index});

@@ -326,9 +326,6 @@ struct FleetFixture
 
 TEST(Router, MergedTopKMatchesTheUnshardedIndex)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     FleetFixture fx;
     Router router(fx.corpus, fx.seed, fx.config(4, 2));
     EXPECT_EQ(router.shards(), 8u);
@@ -363,9 +360,6 @@ TEST(Router, MergedTopKMatchesTheUnshardedIndex)
 
 TEST(Router, AnswersAreBitIdenticalAcrossFleetSizes)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     // Shard geometry depends only on (chunks, S), never on N — so
     // the same 8 shards merged from 1, 2, or 4 devices answer
     // identically, and all match the global index.
@@ -404,9 +398,6 @@ TEST(Router, AnswersAreBitIdenticalAcrossFleetSizes)
 
 TEST(Router, KillDeviceFailsOverWithExactlyOnceDelivery)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     FleetFixture fx;
     const int kWave = 8;
 
@@ -489,9 +480,6 @@ TEST(Router, KillDeviceFailsOverWithExactlyOnceDelivery)
 
 TEST(Router, StickyLinkDropRoutesAroundTheDeadDevice)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     // Device 0's link wedges on its first message; every shard that
     // prefers it must hedge to its replica, and all answers stay
     // exact.
@@ -545,9 +533,6 @@ TEST(RouterDeathTest, OversizedSubQueryIdFieldsPanic)
 
 TEST(Router, MergedDeviceLatencyEqualsPerDeviceRollup)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     FleetFixture fx;
     Router router(fx.corpus, fx.seed, fx.config(2, 1));
     for (int q = 0; q < 4; ++q)
@@ -575,9 +560,6 @@ TEST(Router, MergedDeviceLatencyEqualsPerDeviceRollup)
 
 TEST(Router, TenantQuotaShedsLoudlyAndReleasesOnCompletion)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     FleetFixture fx;
     FleetConfig cfg = fx.config(2, 1);
     cfg.quotas.push_back(FleetConfig::TenantQuota{"acme", 2});
@@ -620,9 +602,6 @@ TEST(Router, TenantQuotaShedsLoudlyAndReleasesOnCompletion)
 
 TEST(Router, LowestClassShedsFirstUnderOverload)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     // With sloClasses=2 and a 2-deep admission queue, class 1 keeps
     // only half the depth budget: it sheds at depth 1 while class 0
     // still admits at that depth — the lowest class goes first.
@@ -659,9 +638,6 @@ TEST(Router, LowestClassShedsFirstUnderOverload)
 
 TEST(Router, ScatterMergeAndClassMetricsCarryTenantLabels)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     FleetFixture fx;
     Router router(fx.corpus, fx.seed, fx.config(2, 1));
 

@@ -35,19 +35,6 @@ using namespace cisram;
 using namespace cisram::baseline;
 using namespace cisram::kernels;
 
-/**
- * The functional corpus passes (and the bigger Lloyd builds) are an
- * order of magnitude too slow under TSan's instrumentation; the
- * host-side logic tests still run there, and the ASan copy runs the
- * whole suite. Same guard test_fleet uses.
- */
-#if defined(__SANITIZE_THREAD__)
-#define CISRAM_SKIP_IF_TSAN()                                        \
-    GTEST_SKIP() << "functional corpus pass too slow under TSan"
-#else
-#define CISRAM_SKIP_IF_TSAN() (void)0
-#endif
-
 namespace {
 
 constexpr uint64_t kSeed = 7321;
@@ -244,7 +231,6 @@ TEST(IvfGoldenTest, FilterMaskEdgeCases)
 
 TEST(IvfDeviceTest, NprobeKFourWayBitCompare)
 {
-    CISRAM_SKIP_IF_TSAN();
     auto spec = clusteredSpec("ivf-4way", 5000, 6);
     auto flat = buildFlat(spec, kSeed);
     auto cl = IvfClustering::build(spec, kSeed,
@@ -288,7 +274,6 @@ TEST(IvfDeviceTest, NprobeKFourWayBitCompare)
 
 TEST(IvfDeviceTest, ProbeRestrictedMatchesGoldenIvf)
 {
-    CISRAM_SKIP_IF_TSAN();
     // At nprobe < K the answer is probe-restricted (recall < 1 is
     // possible); the device must still bit-compare with the CPU
     // IVF golden — same probes, same filter, same ties.
@@ -317,7 +302,6 @@ TEST(IvfDeviceTest, ProbeRestrictedMatchesGoldenIvf)
 
 TEST(IvfDeviceTest, EmptyFilterYieldsNoSurvivorsOnDevice)
 {
-    CISRAM_SKIP_IF_TSAN();
     auto spec = clusteredSpec("ivf-empty", 3000, 4);
     auto cl = IvfClustering::build(spec, kSeed,
                                    IvfBuildConfig{4, 1024, 3});
@@ -356,7 +340,6 @@ TEST(IvfDeviceTest, AllPassMaskBitIdenticalToUnfiltered)
 
 TEST(IvfDeviceTest, FilteredRaggedSupertileBoundaries)
 {
-    CISRAM_SKIP_IF_TSAN();
     // Corpus sizes straddling the 32768-lane supertile boundary:
     // the ragged tail's padding lanes must never surface (their
     // biased-zero dots would outrank real negative scores), and
@@ -385,7 +368,6 @@ TEST(IvfDeviceTest, FilteredRaggedSupertileBoundaries)
 
 TEST(IvfTieTest, AllEqualScoresPinLowestIdsEverywhere)
 {
-    CISRAM_SKIP_IF_TSAN();
     // A zero query ties every chunk at dot 0. The k boundary then
     // cuts through one giant tie group, and every producer must
     // resolve it the same way: ids ascending.
@@ -546,7 +528,6 @@ TEST(IvfServingTest, BatchFormerSplitsOnSearchParams)
 
 TEST(IvfServingTest, ServerHonoursPerQueryParamsEndToEnd)
 {
-    CISRAM_SKIP_IF_TSAN();
     auto spec = clusteredSpec("ivf-serving", 3000, 5);
     auto flat = buildFlat(spec, kSeed);
 
@@ -661,7 +642,6 @@ TEST(IvfServingTest, ParamsSurviveJournalReplayAcrossReset)
 
 TEST(IvfFleetTest, PerShardNprobeAllMergesToGlobalFilteredAnswer)
 {
-    CISRAM_SKIP_IF_TSAN();
     auto spec = clusteredSpec("ivf-fleet", 2048, 4);
     auto global = buildFlat(spec, kSeed);
 
@@ -705,7 +685,6 @@ TEST(IvfFleetTest, PerShardNprobeAllMergesToGlobalFilteredAnswer)
 
 TEST(IvfFleetTest, EvacuationPreservesSearchParams)
 {
-    CISRAM_SKIP_IF_TSAN();
     auto spec = clusteredSpec("ivf-evac", 2048, 4);
     auto global = buildFlat(spec, kSeed);
 

@@ -365,9 +365,6 @@ TEST(ServerMutation, DeviceAnswersBitCompareAgainstEachEpoch)
 
 TEST(OpenLoopTest, MutationPlusKillKeepsExactlyOnceAndGoldens)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     baseline::RagCorpusSpec base{"load-fleet", 0, 2048, 368};
     const uint64_t seed = 4242;
 

@@ -492,6 +492,29 @@ TEST(RagGf16, TopKMatchesGf16Emulation)
     }
 }
 
+TEST(RagGf16, RaggedSupertileKeepsNegativeScoreHits)
+{
+    // Eight rows in a 32 768-lane supertile: the padding lanes hold
+    // gf16 +0.0, whose order key outranks every negative score, so
+    // they must be masked before extraction or they use up winners.
+    RagCorpusSpec spec{"gf16tiny", 0, 8, 368};
+    apu::ApuDevice dev;
+    dram::DramSystem hbm(dram::hbm2eConfig());
+    RagRetriever retriever(dev, hbm, spec, 5);
+    for (uint64_t qseed = 61; qseed <= 68; ++qseed) {
+        auto query = genQuery(spec.dim, qseed);
+        auto expect = gf16ReferenceTopK(spec, 62, query, 5);
+        auto got = retriever.retrieveGf16(query, 62);
+        ASSERT_EQ(got.hits.size(), expect.size()) << "query " << qseed;
+        for (size_t i = 0; i < expect.size(); ++i) {
+            EXPECT_EQ(got.hits[i].id, expect[i].id)
+                << "query " << qseed << " hit " << i;
+            EXPECT_FLOAT_EQ(got.hits[i].score, expect[i].score)
+                << "query " << qseed << " hit " << i;
+        }
+    }
+}
+
 TEST(RagGf16, CloseToExactIntegerRanking)
 {
     // gf16's 9-bit mantissa rounds large dot products; the top hit
@@ -769,9 +792,9 @@ TEST(RagPins, FunctionalRaggedGf16)
     EXPECT_EQ(hitDigest({r}), 0x4100756d82669a13ull);
     expectPin(simPin(r, rig.dev),
               {0x1.41e6d259a6b79p-14, 0x1.5aefa0f3664fdp-14,
-               0x1.52e25016c3bbep-10, 0x1.73c879abe87bbp-17,
+               0x1.5342f319bd965p-10, 0x1.73c879abe87bbp-17,
                0x1.d5c31593e5fb8p-17, 0x0p+0,
-               0x1.55ed8p+19, 0x1.858p+11},
+               0x1.56478p+19, 0x1.85cp+11},
               "gf16");
 }
 

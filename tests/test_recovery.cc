@@ -523,9 +523,6 @@ TEST(ServingRecovery, ForceResetReplaysToIdenticalAnswers)
 
 TEST(ServingRecovery, PersistentHangEscalatesResetsAndReplays)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     // A sticky hang wedges core 0 on its second task — the first
     // batch serves clean, the second wedges, quarantines, and parks.
     // drain() must reset the core, re-stage the shard, and replay

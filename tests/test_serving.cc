@@ -236,9 +236,6 @@ TEST(BatchFormer, ExactlyMaxLingerAdmissionsStillShipsByCount)
 
 TEST(ServingBatch, EveryBatchSizeMatchesSingleRetrieval)
 {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "functional corpus pass too slow under TSan";
-#endif
     RagCorpusSpec corpus{"unit", 0, 2500, 368};
     const uint64_t seed = 77;
     apu::ApuDevice dev;

@@ -8,7 +8,9 @@
  * paths, replayed microcode plans against direct emission, the fused
  * retrieval MAC against the unfused op triple (VR state and
  * CycleStats identical), the single-pass associative max/min against
- * brute force, the memoized DRAM range-trace cache (timing, counter,
+ * brute force, the lane-extent-aware ops (a stored head plus a
+ * uniform tail per VR and VMR) against full-width evaluation, the
+ * memoized DRAM range-trace cache (timing, counter,
  * and fault-draw identity between cold and warm calls), the serving
  * admission boundary contracts of DESIGN.md section 7, and the
  * histogram quantile bucket-boundary pin.
@@ -17,6 +19,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -560,12 +565,23 @@ TEST(WordParallelReduce, MaxIndexChargeIsDataIndependent)
 
 namespace {
 
-/** Copy core 0's VR contents onto core `dst` of the same device. */
+/**
+ * Copy core 0's VR and VMR contents onto core `dst` of the same
+ * device, materialized there; core 0's lane extents are left as they
+ * are.
+ */
 void
 mirrorVrs(ApuDevice &dev, unsigned dst)
 {
-    for (unsigned vr = 0; vr < dev.core(0).vr().numVrs(); ++vr)
-        dev.core(dst).vr()[vr] = dev.core(0).vr()[vr];
+    ApuCore &from = dev.core(0), &to = dev.core(dst);
+    auto copy = [](const LaneVector &src, std::vector<uint16_t> &out) {
+        for (size_t i = 0; i < out.size(); ++i)
+            out[i] = src.lane(i);
+    };
+    for (unsigned vr = 0; vr < from.vr().numVrs(); ++vr)
+        copy(from.vr().lanes(vr), to.vr()[vr]);
+    for (unsigned m = 0; m < from.l1().numVmrs(); ++m)
+        copy(from.l1().lanes(m), to.l1().slot(m));
 }
 
 } // namespace
@@ -644,6 +660,285 @@ TEST(FusedMac, Gf16MatchesUnfusedTriple)
     for (unsigned vr = 0; vr < dev.core(0).vr().numVrs(); ++vr)
         ASSERT_EQ(fused.data(Vr(vr)), plain.data(Vr(vr)))
             << "VR " << vr;
+}
+
+// ---- Lane extents: extent-aware ops == full-width evaluation ------------
+
+namespace {
+
+constexpr size_t kLanes = 32768;
+
+/** Extents the registers cycle through, empty to full. */
+constexpr size_t kHis[] = {0, 1, 63, 64, 1000, kLanes - 1, kLanes};
+
+/** VRs 20..23 hold 0/1 marks; every other register any u16. */
+bool
+isMark(unsigned vr)
+{
+    return vr >= 20;
+}
+
+/**
+ * Give every VR and VMR of `core` a random head, of an extent from
+ * kHis rotated by `round`, and a random tail.
+ */
+void
+randomExtents(ApuCore &core, Rng &rng, size_t round)
+{
+    auto fill = [&](LaneVector &v, size_t k, bool mark) {
+        auto draw = [&] {
+            uint16_t x = rng.nextU16();
+            return mark ? static_cast<uint16_t>(x & 1) : x;
+        };
+        size_t hi = kHis[k % std::size(kHis)];
+        for (size_t i = 0; i < hi; ++i)
+            v.head()[i] = draw();
+        v.setExtent(hi, draw());
+    };
+    for (unsigned vr = 0; vr < core.vr().numVrs(); ++vr)
+        fill(core.vr().lanes(vr), vr + round, isMark(vr));
+    for (unsigned m = 0; m < core.l1().numVmrs(); ++m)
+        fill(core.l1().lanes(m), m + round, false);
+}
+
+/** Materialize every VR and VMR of `core`. */
+void
+materialize(ApuCore &core)
+{
+    for (unsigned vr = 0; vr < core.vr().numVrs(); ++vr)
+        core.vr()[vr];
+    for (unsigned m = 0; m < core.l1().numVmrs(); ++m)
+        core.l1().slot(m);
+}
+
+/** Cores 0 and 1 hold the same VRs and VMRs, cycles and uops. */
+void
+expectSameCores(ApuDevice &dev, const std::string &what)
+{
+    ApuCore &a = dev.core(0), &b = dev.core(1);
+    EXPECT_EQ(a.stats().cycles(), b.stats().cycles()) << what;
+    EXPECT_EQ(a.stats().uops(), b.stats().uops()) << what;
+    for (unsigned vr = 0; vr < a.vr().numVrs(); ++vr)
+        ASSERT_EQ(a.vr()[vr], b.vr()[vr]) << what << " VR " << vr;
+    for (unsigned m = 0; m < a.l1().numVmrs(); ++m)
+        ASSERT_EQ(a.l1().slot(m), b.l1().slot(m)) << what << " VMR " << m;
+}
+
+/** One op under test; returns its scalar result, or 0. */
+using ExtentOp = std::function<uint64_t(Gvml &)>;
+
+uint64_t
+packed(Gvml::MaxResult r)
+{
+    return static_cast<uint64_t>(r.value) << 32 | r.index;
+}
+
+/**
+ * Run `op` on core 0, whose registers hold random heads and tails,
+ * and on core 1, which holds the same contents materialized, once
+ * per rotation of kHis over the registers.
+ */
+void
+expectExtentIdentity(const std::string &what, const ExtentOp &op)
+{
+    ApuDevice dev;
+    for (size_t round = 0; round < std::size(kHis); ++round) {
+        Rng rng(1000 + round);
+        randomExtents(dev.core(0), rng, round);
+        mirrorVrs(dev, 1);
+        Gvml g0(dev.core(0)), g1(dev.core(1));
+        uint64_t r0 = op(g0);
+        uint64_t r1 = op(g1);
+        std::string where = what + " round " + std::to_string(round);
+        EXPECT_EQ(r0, r1) << where;
+        expectSameCores(dev, where);
+    }
+}
+
+} // namespace
+
+TEST(LaneExtent, ExtentAwareOpsMatchFullWidth)
+{
+    const uint16_t gf = GsiFloat16::fromFloat(-1.75f).bits();
+    const std::vector<std::pair<std::string, ExtentOp>> ops = {
+        {"cpyImm16", [](Gvml &g) { g.cpyImm16(Vr(0), 0xbeef); return 0; }},
+        {"cpy16", [](Gvml &g) { g.cpy16(Vr(0), Vr(1)); return 0; }},
+        {"xor16", [](Gvml &g) { g.xor16(Vr(0), Vr(1), Vr(2)); return 0; }},
+        {"xor16 dst = a",
+         [](Gvml &g) { g.xor16(Vr(1), Vr(1), Vr(2)); return 0; }},
+        {"addS16 dst = b",
+         [](Gvml &g) { g.addS16(Vr(2), Vr(1), Vr(2)); return 0; }},
+        {"mulS16", [](Gvml &g) { g.mulS16(Vr(0), Vr(3), Vr(4)); return 0; }},
+        {"divU16", [](Gvml &g) { g.divU16(Vr(0), Vr(3), Vr(4)); return 0; }},
+        {"gtU16", [](Gvml &g) { g.gtU16(Vr(0), Vr(5), Vr(6)); return 0; }},
+        {"not16", [](Gvml &g) { g.not16(Vr(0), Vr(1)); return 0; }},
+        {"srImm16 dst = a",
+         [](Gvml &g) { g.srImm16(Vr(1), Vr(1), 3); return 0; }},
+        {"ashImm16", [](Gvml &g) { g.ashImm16(Vr(0), Vr(1), -2); return 0; }},
+        {"addU16Msk",
+         [](Gvml &g) {
+             g.addU16Msk(Vr(0), Vr(1), Vr(2), Vr(20));
+             return 0;
+         }},
+        {"cpy16Msk",
+         [](Gvml &g) { g.cpy16Msk(Vr(0), Vr(1), Vr(21)); return 0; }},
+        {"cpyImm16Msk",
+         [](Gvml &g) { g.cpyImm16Msk(Vr(0), 7, Vr(22)); return 0; }},
+        {"cpyImm16Nmsk",
+         [](Gvml &g) { g.cpyImm16Nmsk(Vr(0), 7, Vr(23)); return 0; }},
+        {"macImmS16",
+         [](Gvml &g) {
+             const Vr accs[3] = {Vr(8), Vr(9), Vr(10)};
+             const uint16_t imms[3] = {0x0003, 0xfffe, 0x7f01};
+             g.macImmS16(Vr(0), Vr(1), Vr(2), accs, imms, 3);
+             return 0;
+         }},
+        {"macImmGf16",
+         [gf](Gvml &g) {
+             g.macImmGf16(Vr(0), Vr(1), Vr(2), Vr(8), gf);
+             return 0;
+         }},
+        {"maxIndexU16",
+         [](Gvml &g) { return packed(g.maxIndexU16(Vr(3))); }},
+        {"minIndexU16",
+         [](Gvml &g) { return packed(g.minIndexU16(Vr(4))); }},
+        {"rspGet",
+         [](Gvml &g) {
+             return uint64_t{g.core().rspGet(5, 62)} << 16 |
+                 g.core().rspGet(5, 1003);
+         }},
+        {"rspSet",
+         [](Gvml &g) { g.core().rspSet(6, 1005, 0x4242); return 0; }},
+        {"load16", [](Gvml &g) { g.load16(Vr(0), Vmr(3)); return 0; }},
+        {"store16 then load16",
+         [](Gvml &g) {
+             g.store16(Vmr(5), Vr(1));
+             g.load16(Vr(0), Vmr(5));
+             return 0;
+         }},
+    };
+    for (const auto &[what, op] : ops)
+        expectExtentIdentity(what, op);
+}
+
+TEST(LaneExtent, MaxIndexPicksTheTailOnlyWhenStrictlyBetter)
+{
+    ApuDevice dev;
+    Gvml g(dev.core(0));
+    LaneVector &v = dev.core(0).vr().lanes(1);
+    struct Case
+    {
+        size_t hi;
+        uint16_t tail;
+        uint16_t value;
+        size_t index;
+    };
+    const Case cases[] = {
+        {1000, 0x2001, 0x2001, 1000}, // the tail beats the head
+        {1000, 0x2000, 0x2000, 500},  // a tie: the head's lane wins
+        {1000, 0x1fff, 0x2000, 500},
+        {0, 0x0042, 0x0042, 0},            // no head: the tail
+        {kLanes, 0xffff, 0x2000, 500},     // no tail lanes
+    };
+    for (const Case &c : cases) {
+        for (size_t i = 0; i < c.hi; ++i)
+            v.head()[i] = static_cast<uint16_t>((i * 7) & 0x0fff);
+        if (c.hi > 500)
+            v.head()[500] = 0x2000;
+        v.setExtent(c.hi, c.tail);
+        auto mx = g.maxIndexU16(Vr(1));
+        EXPECT_EQ(mx.value, c.value) << "hi " << c.hi << " tail " << c.tail;
+        EXPECT_EQ(mx.index, c.index) << "hi " << c.hi << " tail " << c.tail;
+        const auto &full = dev.core(0).vr()[1]; // materializes
+        auto it = std::max_element(full.begin(), full.end());
+        EXPECT_EQ(*it, c.value);
+        EXPECT_EQ(static_cast<size_t>(it - full.begin()), c.index);
+    }
+}
+
+TEST(LaneExtent, RaggedSupertileScanMatchesFullWidth)
+{
+    // One ragged supertile of 1000 rows through the retrieval scan's
+    // op sequence: plane ingest (the rows as the slot's head, a zero
+    // tail), load16, macImmS16, then the bias xor16, the admit-plane
+    // cpyImm16Nmsk and top-5 extraction. Core 0 starts from random
+    // heads and tails; core 1 holds the same contents and
+    // materializes every register before each op, i.e. evaluates at
+    // full width. The two must agree after every op.
+    constexpr size_t rows = 1000, dim = 4, k = 5;
+    Rng rng(77);
+    std::vector<std::vector<uint16_t>> planes(dim + 1,
+                                              std::vector<uint16_t>(rows));
+    for (size_t d = 0; d < dim; ++d)
+        for (auto &x : planes[d])
+            x = static_cast<uint16_t>(rng.nextU16() % 15 - 7);
+    for (auto &x : planes[dim]) // the admit plane
+        x = rng.nextU16() % 4 != 0;
+
+    using Step = std::function<void(ApuCore &, std::vector<uint64_t> &)>;
+    std::vector<Step> steps;
+    auto op = [&](auto fn) {
+        steps.push_back([fn](ApuCore &core, std::vector<uint64_t> &) {
+            Gvml g(core);
+            fn(g);
+        });
+    };
+    auto ingest = [&](unsigned vmr, const std::vector<uint16_t> &p) {
+        steps.push_back([vmr, &p](ApuCore &core, std::vector<uint64_t> &) {
+            LaneVector &slot = core.l1().lanes(vmr);
+            std::copy(p.begin(), p.end(), slot.head());
+            slot.setExtent(p.size(), 0);
+        });
+    };
+    const Vr accs[2] = {Vr(8), Vr(9)};
+    op([](Gvml &g) { g.cpyImm16(Vr(4), 0x8000); });
+    for (Vr a : accs)
+        op([a](Gvml &g) { g.cpyImm16(a, 0); });
+    for (size_t d = 0; d < dim; ++d) {
+        ingest(0, planes[d]);
+        op([](Gvml &g) { g.load16(Vr(0), Vmr(0)); });
+        op([d, &accs](Gvml &g) {
+            const uint16_t imms[2] = {static_cast<uint16_t>(d + 1),
+                                      static_cast<uint16_t>(0xfff0 + d)};
+            g.macImmS16(Vr(0), Vr(1), Vr(2), accs, imms, 2);
+        });
+    }
+    ingest(1, planes[dim]);
+    op([](Gvml &g) { g.load16(Vr(6), Vmr(1)); });
+    for (Vr a : accs) {
+        op([a](Gvml &g) { g.xor16(a, a, Vr(4)); });
+        op([a](Gvml &g) { g.cpyImm16Nmsk(a, 0x0000, Vr(6)); });
+        for (size_t i = 0; i < k; ++i)
+            steps.push_back([a](ApuCore &core, std::vector<uint64_t> &w) {
+                auto mx = Gvml(core).maxIndexU16(a);
+                w.push_back(packed(mx));
+                core.rspSet(a.idx, mx.index, 0);
+            });
+    }
+
+    ApuDevice dev;
+    ApuCore &narrow = dev.core(0), &full = dev.core(1);
+    Rng init(78);
+    randomExtents(narrow, init, 0);
+    mirrorVrs(dev, 1);
+    std::vector<uint64_t> winners[2];
+    for (size_t i = 0; i < steps.size(); ++i) {
+        steps[i](narrow, winners[0]);
+        materialize(full);
+        steps[i](full, winners[1]);
+        ASSERT_EQ(winners[0], winners[1]) << "step " << i;
+        for (unsigned vr = 0; vr < narrow.vr().numVrs(); ++vr)
+            for (size_t l = 0; l < kLanes; ++l)
+                ASSERT_EQ(narrow.vr().lanes(vr).lane(l), full.vr()[vr][l])
+                    << "step " << i << " VR " << vr << " lane " << l;
+        for (unsigned m = 0; m < narrow.l1().numVmrs(); ++m)
+            for (size_t l = 0; l < kLanes; ++l)
+                ASSERT_EQ(narrow.l1().lanes(m).lane(l), full.l1().slot(m)[l])
+                    << "step " << i << " VMR " << m << " lane " << l;
+    }
+    expectSameCores(dev, "ragged supertile scan");
+    for (uint64_t w : winners[0])
+        EXPECT_LT(w & 0xffffffffu, rows) << "a padding lane won";
 }
 
 // ---- DRAM range-trace cache: warm replay == cold simulation -------------
