@@ -28,9 +28,15 @@
  *     mid-run device kill. Under overload the lowest class must shed
  *     first (shed_class1 >= shed_class0 > 0), per-class SLO windows
  *     tile the epochs, and delivery stays exactly-once.
+ *
+ * Then two informational host-time keys, sat.host_us_per_arrival_n*:
+ * the sat fleet at 220 q/s through the first 2 000 and 8 000 arrivals
+ * of one trace. Router and journal bookkeeping that grows with the
+ * run shows as a rising ratio between them.
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -379,6 +385,56 @@ mutPhase(bench::BenchReport &report)
     return ok;
 }
 
+// ---- host bookkeeping per arrival (informational) --------------------
+
+/** Host microseconds per arrival over the first `n` of `trace`. */
+double
+hostUsPerArrival(const RagCorpusSpec &spec, ArrivalTrace trace, size_t n)
+{
+    cisram_assert(trace.arrivals.size() >= n, "trace too short");
+    trace.arrivals.resize(n);
+    Router router(spec, kSeed, satConfig());
+    auto t0 = std::chrono::steady_clock::now();
+    OpenLoopResult res = runOpenLoop(router, trace, spec, {});
+    std::chrono::duration<double, std::micro> us =
+        std::chrono::steady_clock::now() - t0;
+    cisram_assert(res.outcomes.size() == n, "bookkeeping run lost "
+                                            "queries");
+    return us.count() / static_cast<double>(n);
+}
+
+void
+bookkeepingPhase(bench::BenchReport &report)
+{
+    // Host time only: a private registry and detailed metrics off
+    // keep the snapshot's metrics those of the three phases above.
+    auto shard = metrics::Registry::makeShard();
+    metrics::ShardScope scope(shard.get());
+    bool detailed = metrics::enabled();
+    metrics::setEnabled(false);
+
+    TrafficConfig tc;
+    tc.ratePerSecond = 220;
+    tc.durationSeconds = 40; // ~8 800 arrivals
+    tc.seed = 61;
+    tc.tenants = {{"sat", 1.0, 0, 256}};
+    ArrivalTrace trace = genArrivalTrace(tc);
+    const RagCorpusSpec &spec = ragCorpora()[2];
+    // Best of two routers per count: one short run is at the mercy of
+    // host noise.
+    double n2000 = 1e300, n8000 = 1e300;
+    for (int rep = 0; rep < 2; ++rep) {
+        n2000 = std::min(n2000, hostUsPerArrival(spec, trace, 2000));
+        n8000 = std::min(n8000, hostUsPerArrival(spec, trace, 8000));
+    }
+    std::printf("host bookkeeping at 220 q/s: %.1f us/arrival over "
+                "2000 arrivals, %.1f over 8000 (%.2fx)\n",
+                n2000, n8000, n8000 / n2000);
+    report.scalar("sat.host_us_per_arrival_n2000", n2000);
+    report.scalar("sat.host_us_per_arrival_n8000", n8000);
+    metrics::setEnabled(detailed);
+}
+
 } // namespace
 
 int
@@ -391,6 +447,7 @@ main()
     bool func_ok = funcPhase(report);
     bool sat_ok = satPhase(report);
     bool mut_ok = mutPhase(report);
+    bookkeepingPhase(report);
 
     bool pass = func_ok && sat_ok && mut_ok;
     std::printf("overall: %s\n", pass ? "PASS" : "FAIL");

@@ -308,7 +308,8 @@ Router::admit(uint64_t id, std::vector<int16_t> query,
     flight_.recordAdmit(id, arrival_seconds);
     ++tenantInFlight_[cls.tenant];
 
-    queryIndex_[id] = queries_.size();
+    size_t qi = queries_.size();
+    queryIndex_[id] = qi;
     queries_.push_back({});
     QueryState &qs = queries_.back();
     qs.id = id;
@@ -326,7 +327,7 @@ Router::admit(uint64_t id, std::vector<int16_t> query,
         if (!st.ok()) {
             // Loud failure: the query is completed (exactly once)
             // as not-ok rather than silently dropped.
-            markUnroutable(qs, s);
+            markUnroutable(qi, s);
             if (first_err.ok())
                 first_err = st;
         }
@@ -345,12 +346,20 @@ Router::countFailover(SubState &sub, unsigned device)
 }
 
 void
-Router::markUnroutable(QueryState &qs, unsigned shard)
+Router::subDone(size_t qi, unsigned shard)
 {
-    qs.failed = true;
+    QueryState &qs = queries_[qi];
     qs.subs[shard].done = true;
-    qs.subs[shard].unroutable = true;
-    --qs.remaining;
+    if (--qs.remaining == 0)
+        ready_.push_back(qi);
+}
+
+void
+Router::markUnroutable(size_t qi, unsigned shard)
+{
+    queries_[qi].failed = true;
+    queries_[qi].subs[shard].unroutable = true;
+    subDone(qi, shard);
 }
 
 void
@@ -391,12 +400,11 @@ Router::collect(unsigned device,
             Status st = dispatchShard(qs, shard, qs.admitSeconds,
                                       sub.arrivalSeconds + served);
             if (!st.ok())
-                markUnroutable(qs, shard);
+                markUnroutable(it->second, shard);
             continue;
         }
 
-        sub.done = true;
-        --qs.remaining;
+        subDone(it->second, shard);
         sub.fromDevice = out.fromDevice;
         sub.attempts = std::max(sub.attempts, out.attempts);
         sub.returnSeconds = *rt;
@@ -421,10 +429,14 @@ Router::collect(unsigned device,
 std::vector<FleetOutcome>
 Router::reapFinished()
 {
+    // Gather order follows device order, not admission order; the
+    // flight ledger and the histograms accumulate in the latter.
+    std::sort(ready_.begin(), ready_.end());
     std::vector<FleetOutcome> done;
-    for (QueryState &qs : queries_)
-        if (!qs.finished && qs.remaining == 0)
-            done.push_back(finishQuery(qs));
+    done.reserve(ready_.size());
+    for (size_t qi : ready_)
+        done.push_back(finishQuery(queries_[qi]));
+    ready_.clear();
     return done;
 }
 
@@ -529,6 +541,7 @@ Router::finishQuery(QueryState &qs)
     if (tf != tenantInFlight_.end() && tf->second > 0)
         --tf->second;
     qs.finished = true;
+    ++finished_;
     qs.query.clear();
     qs.query.shrink_to_fit();
     return out;
@@ -618,10 +631,7 @@ Router::applyMutation(uint64_t new_epoch,
 size_t
 Router::ledgerOutstanding() const
 {
-    size_t n = 0;
-    for (const QueryState &qs : queries_)
-        n += qs.finished ? 0 : 1;
-    return n;
+    return queries_.size() - finished_;
 }
 
 std::vector<FleetOutcome>
@@ -635,11 +645,8 @@ Router::drain()
     // sub-query one replica down its finite priority list, so
     // passes are bounded by queries x replicas.
     for (size_t pass = 0;; ++pass) {
-        if (std::all_of(queries_.begin(), queries_.end(),
-                        [](const QueryState &qs) {
-                            return qs.remaining == 0;
-                        }))
-            break;
+        if (ready_.size() == ledgerOutstanding())
+            break; // every unfinished query is gathered
         cisram_assert(pass <= outstanding * (cfg_.replicas + 1u),
                       "fleet: drain did not converge");
         for (unsigned d = 0; d < devices(); ++d) {
@@ -685,7 +692,7 @@ Router::evacuateDevice(unsigned device)
                 cisram_warn(
                     "fleet: query #", qid, " shard ", ss.shard,
                      " lost its last replica: ", st.message());
-                markUnroutable(qs, ss.shard);
+                markUnroutable(it->second, ss.shard);
             }
         }
     }

@@ -397,11 +397,17 @@ class Router
     void countFailover(SubState &sub, unsigned device);
 
     /**
-     * `shard` has no replica left for `qs`: the sub-query is done
-     * and the query completes (once) as not-ok, its flight naming
-     * the unroutable shard.
+     * Query `qi`'s sub-query on `shard` is done; the query's last
+     * one puts it on the ready list.
      */
-    void markUnroutable(QueryState &qs, unsigned shard);
+    void subDone(size_t qi, unsigned shard);
+
+    /**
+     * `shard` has no replica left for query `qi`: the sub-query is
+     * done and the query completes (once) as not-ok, its flight
+     * naming the unroutable shard.
+     */
+    void markUnroutable(size_t qi, unsigned shard);
 
     /** Fold one server's served outcomes into the scatter states. */
     void collect(unsigned device,
@@ -410,7 +416,7 @@ class Router
     /** Merge a fully-gathered query and complete it, exactly once. */
     FleetOutcome finishQuery(QueryState &qs);
 
-    /** Finished-and-unreported queries, in admission order. */
+    /** Finish the ready list's queries, in admission order. */
     std::vector<FleetOutcome> reapFinished();
 
     /** Evacuate + re-route a dead device's in-flight queries. */
@@ -429,6 +435,12 @@ class Router
     obs::FlightRecorder flight_;
     std::vector<QueryState> queries_; ///< admission order
     std::unordered_map<uint64_t, size_t> queryIndex_;
+    /**
+     * Indices into queries_ (which reallocates: never pointers) of
+     * gathered queries not yet finished, in gather order.
+     */
+    std::vector<size_t> ready_;
+    size_t finished_ = 0; ///< queries finishQuery completed
     uint64_t failovers_ = 0;
     uint64_t evacuated_ = 0;
     uint64_t epoch_ = 0; ///< epoch new admissions pin to

@@ -490,7 +490,7 @@ RagRetriever::retrieveGf16(const std::vector<int16_t> &query,
     const Vr vrOrd{7}, vrS1{8}, vrS2{9};
     std::vector<Hit> candidates;
     double topk_cycles = 0.0;
-    timedLoop(core, supertiles, [&](size_t st) {
+    auto supertile = [&](size_t st) {
         g.cpyImm16(vrAcc, 0); // gf16 +0.0
         timedLoop(core, dim, [&](size_t d) {
             core.chargeRaw(ingestCycles(t, true));
@@ -506,12 +506,13 @@ RagRetriever::retrieveGf16(const std::vector<int16_t> &query,
 
         // Padding lanes hold gf16 +0.0, whose key (0x8000) outranks
         // every negative score: a ragged supertile masks them to key
-        // 0x0000 with retrieveBatch's admit-plane select. TimingOnly
-        // prices every supertile as full, as its extraction does.
-        size_t valid = fnl ? std::min(l, chunks - st * l) : l;
+        // 0x0000 with retrieveBatch's admit-plane select, in both
+        // modes.
+        size_t valid = std::min(l, chunks - st * l);
         if (valid < l) {
             core.chargeRaw(ingestCycles(t, true));
-            admit->ingest(core, vmAdmit, st, 0);
+            if (admit)
+                admit->ingest(core, vmAdmit, st, 0);
             g.load16(vrAdmit, vmAdmit);
             g.cpyImm16Nmsk(vrOrd, 0x0000, vrAdmit);
         }
@@ -532,7 +533,13 @@ RagRetriever::retrieveGf16(const std::vector<int16_t> &query,
         }
         core.chargeRaw(mergeCyclesPerVr);
         topk_cycles += core.stats().cycles() - before;
-    });
+    };
+    // The full supertiles price alike (TimingOnly runs one under a
+    // repeat count); a ragged last one runs once, with its mask.
+    size_t full = chunks / l;
+    timedLoop(core, full, supertile);
+    if (full < supertiles)
+        supertile(full);
     return finishPass(std::move(res), timer.lap(), topk_cycles, 0,
                       {std::move(candidates)})[0];
 }

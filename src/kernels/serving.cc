@@ -335,7 +335,8 @@ std::vector<uint64_t>
 DeviceServer::requeuePending()
 {
     // In admission order, with their original admit times. The
-    // entries stay journaled: only delivery completes them.
+    // entries stay journaled: only delivery completes them. Nothing
+    // here touches the journal, so the pending() pointers hold.
     former_ = BatchFormer(cfg_.batch);
     std::vector<uint64_t> ids;
     for (const auto *e : journal_.pending()) {

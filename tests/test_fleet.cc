@@ -741,6 +741,45 @@ TEST(Router, UnroutableShardCompletesItsFlightExactlyOnce)
     }
 }
 
+TEST(Router, ReapsInAdmissionOrderWhateverTheGatherOrder)
+{
+    // One shard on two devices, its primary on device 1, behind
+    // depth-1 queues: the later query of each pair is shed by the
+    // busy primary and lands on device 0, which the router pumps and
+    // drains first. It gathers first; it must still reap second.
+    FleetConfig cfg;
+    cfg.devices = 2;
+    cfg.replicas = 2;
+    cfg.shards = 1;
+    cfg.server.admission.maxQueueDepth = 1;
+    cfg.server.batch.maxBatch = 1;
+    baseline::RagCorpusSpec corpus{"reap-order", 0, 2048, 368};
+    Router router(corpus, 4242, cfg);
+    ASSERT_EQ(router.placement()[0], (std::vector<unsigned>{1, 0}));
+
+    auto admitPair = [&](uint64_t first) {
+        for (uint64_t q = first; q < first + 2; ++q)
+            ASSERT_TRUE(router
+                            .admit(q, baseline::genQuery(corpus.dim, q),
+                                   0.0)
+                            .ok());
+    };
+    auto ids = [](const std::vector<FleetOutcome> &outs) {
+        std::vector<uint64_t> v;
+        for (const FleetOutcome &o : outs)
+            v.push_back(o.id);
+        return v;
+    };
+    admitPair(1);
+    EXPECT_EQ(router.failovers(), 1u); // query 2 went to device 0
+    EXPECT_EQ(ids(router.pumpUntil(0.0)),
+              (std::vector<uint64_t>{1, 2}));
+    admitPair(3);
+    EXPECT_EQ(router.failovers(), 2u); // query 4 went to device 0
+    EXPECT_EQ(ids(router.drain()), (std::vector<uint64_t>{3, 4}));
+    EXPECT_EQ(router.ledgerOutstanding(), 0u);
+}
+
 TEST(RouterDeathTest, DuplicateAdmissionDies)
 {
     FleetConfig cfg;

@@ -656,9 +656,9 @@ TEST(RagPins, Gf16TimingOnly200GB)
     auto r = rig.r.retrieveGf16(genQuery(spec.dim, 1), 1);
     expectPin(simPin(r, rig.dev),
               {0x1.9eb4df3b645ap-8, 0x1.5aefa0f3664fdp-14,
-               0x1.0b669331f6724p-4, 0x1.255c3001a571ap-11,
+               0x1.0b6815be0259ap-4, 0x1.255c3001a571ap-11,
                0x1.d5c31593e5fb8p-17, 0x0p+0,
-               0x1.f71455p+24, 0x1.3357p+17},
+               0x1.f71725p+24, 0x1.3358p+17},
               "gf16 200GB");
 }
 
@@ -796,6 +796,18 @@ TEST(RagPins, FunctionalRaggedGf16)
                0x1.d5c31593e5fb8p-17, 0x0p+0,
                0x1.56478p+19, 0x1.85cp+11},
               "gf16");
+}
+
+TEST(RagGf16, RaggedSupertileChargesAlikeInBothModes)
+{
+    // TimingOnly evaluates no lanes but must charge the ragged last
+    // supertile's mask exactly as Functional does.
+    const RagCorpusSpec spec = raggedSpec();
+    PinRig fnl(spec, true), timing(spec, false);
+    auto q = genQuery(spec.dim, 77);
+    SimPin want = simPin(fnl.r.retrieveGf16(q, kPinSeed), fnl.dev);
+    expectPin(simPin(timing.r.retrieveGf16(q, kPinSeed), timing.dev),
+              want, "gf16 TimingOnly vs Functional");
 }
 
 TEST(RagPins, FunctionalRaggedBatch)

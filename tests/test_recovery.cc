@@ -203,6 +203,78 @@ TEST(JournalDeathTest, ExactlyOnceViolationsPanic)
     EXPECT_DEATH(j.complete(7), "double completion");
 }
 
+TEST(Journal, ReleasesPayloadsAtCompletionAndHandOff)
+{
+    // Shared payloads the test watches: once a query completes, in
+    // any order, or is handed off, the journal holds no reference.
+    ReplayJournal<std::shared_ptr<int>> j;
+    std::vector<std::weak_ptr<int>> watch;
+    for (int id = 1; id <= 6; ++id) {
+        auto p = std::make_shared<int>(id);
+        watch.push_back(p);
+        j.admit(static_cast<uint64_t>(id), std::move(p), 0.0);
+    }
+    j.complete(3); // out of order: 3 stays in the window behind 1, 2
+    EXPECT_TRUE(watch[2].expired());
+    EXPECT_FALSE(watch[0].expired());
+    j.complete(1);
+    EXPECT_TRUE(watch[0].expired());
+
+    auto handed = j.handOffPending(); // 2, 4, 5, 6
+    ASSERT_EQ(handed.size(), 4u);
+    EXPECT_FALSE(watch[1].expired());
+    handed.clear();
+    for (const std::weak_ptr<int> &w : watch)
+        EXPECT_TRUE(w.expired());
+}
+
+TEST(Journal, OutOfOrderCompletionAcrossATrimmedHead)
+{
+    ReplayJournal<int> j;
+    for (uint64_t id = 1; id <= 5; ++id)
+        j.admit(id, static_cast<int>(10 * id), 0.25 * id);
+    j.complete(1); // the head moves past 1
+    j.complete(3); // 3 waits in the window behind 2
+    j.complete(2); // the head catches up past 3
+
+    EXPECT_EQ(j.outstanding(), 2u);
+    auto pend = j.pending();
+    ASSERT_EQ(pend.size(), 2u);
+    EXPECT_EQ(pend[0]->id, 4u);
+    EXPECT_EQ(pend[1]->id, 5u);
+    EXPECT_EQ(pend[0]->admitSeconds, 1.0);
+    EXPECT_EQ(pend[1]->admitSeconds, 1.25);
+    EXPECT_EQ(pend[1]->payload, 50);
+
+    auto handed = j.handOffPending();
+    ASSERT_EQ(handed.size(), 2u);
+    EXPECT_EQ(handed[0].id, 4u);
+    EXPECT_EQ(handed[1].id, 5u);
+    EXPECT_EQ(handed[0].admitSeconds, 1.0);
+    EXPECT_EQ(handed[1].admitSeconds, 1.25);
+    EXPECT_EQ(handed[0].payload, 40);
+    EXPECT_EQ(j.outstanding(), 0u);
+    EXPECT_TRUE(j.pending().empty());
+    EXPECT_EQ(j.admitted(), 5u);
+}
+
+TEST(JournalDeathTest, IdsStayTakenAfterLeavingTheWindow)
+{
+    ReplayJournal<int> j;
+    j.admit(1, 0, 0.0);
+    j.complete(1);
+    for (uint64_t id = 2; id <= 10001; ++id) {
+        j.admit(id, 0, 0.0);
+        j.complete(id);
+    }
+    EXPECT_DEATH(j.admit(1, 0, 0.0), "duplicate admission");
+
+    j.admit(20000, 0, 0.0);
+    (void)j.handOffPending();
+    EXPECT_DEATH(j.complete(20000), "double completion");
+    EXPECT_DEATH(j.admit(20000, 0, 0.0), "duplicate admission");
+}
+
 // ---- gdl: sticky latches and resets ------------------------------------
 
 TEST(GdlRecovery, StickyHangWedgesCoreUntilReset)
