@@ -463,6 +463,29 @@ runSimMicroReport()
         report.scalar("rag_scan_host_wall_seconds", elapsedSeconds(t0));
     }
 
+    // Host time of one warm functional retrieve per Table 8 mapping
+    // over a 16 384-chunk corpus (informational: varies by machine).
+    {
+        apu::ApuDevice dev;
+        dram::DramSystem hbm(dram::hbm2eConfig());
+        const baseline::RagCorpusSpec corpus{"mappings", 0, 16384, 368};
+        kernels::RagRetriever r(dev, hbm, corpus, 10);
+        const std::vector<int16_t> q = baseline::genQuery(corpus.dim, 1);
+        using kernels::RagVariant;
+        for (RagVariant v : {RagVariant::NoOpt, RagVariant::Opt1,
+                             RagVariant::Opt2, RagVariant::Opt3,
+                             RagVariant::AllOpts}) {
+            r.retrieve(q, v, 77); // stages the mapping's layout
+            auto t0 = std::chrono::steady_clock::now();
+            auto res = r.retrieve(q, v, 77);
+            benchmark::DoNotOptimize(res);
+            std::string key = kernels::ragVariantName(v);
+            std::replace(key.begin(), key.end(), '-', '_');
+            report.scalar("rag_mapping_host_wall_seconds." + key,
+                          elapsedSeconds(t0));
+        }
+    }
+
     report.write();
     std::printf("wrote %s\n", report.path().c_str());
     return 0;

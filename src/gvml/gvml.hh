@@ -170,7 +170,10 @@ class Gvml
      * grp/subgrp subgroups) to fill the group (paper Section 4.3,
      * Fig. 10 -- "subgroup copy can also target a portion of the
      * VR"). `subgrp` must divide `grp`, both must divide the VR
-     * length.
+     * length. dst may be src. Lane-extent aware (DESIGN.md section
+     * 4): one group of subgroup 1 writes a uniform register in O(1);
+     * any other shape copies only the groups whose subgroup starts in
+     * src's head.
      */
     void cpySubgrp16Grp(Vr dst, Vr src, size_t grp, size_t subgrp,
                         size_t which = 0);
@@ -197,9 +200,16 @@ class Gvml
      * split into groups of `grp` elements, each split into
      * subgroups of `subgrp` elements. The subgroups of each group
      * are summed element-wise; the result occupies the first
-     * `subgrp` elements of each group (remaining elements hold
-     * partial sums). Cost follows the staged shift-and-add
-     * decomposition the device performs (modeled by Eq. 1).
+     * `subgrp` elements of each group. The stages shift and add
+     * across group edges, so every lane i ends as
+     *
+     *   sum of src[i + m * subgrp] (mod 2^16)
+     *   over m < grp / subgrp with i + m * subgrp < length(),
+     *
+     * which past each group's first `subgrp` lanes is a partial sum
+     * running into the next group. dst may be src. Cost follows the
+     * staged shift-and-add decomposition the device performs
+     * (modeled by Eq. 1).
      */
     void addSubgrpS16(Vr dst, Vr src, size_t grp, size_t subgrp);
 

@@ -124,13 +124,28 @@ Gvml::cpySubgrp16Grp(Vr dst, Vr src, size_t grp, size_t subgrp,
     core_.chargeVectorOp(core_.timing().move.cpySubgrp);
     if (!core_.functional())
         return;
-    auto &d = core_.vr()[dst.idx];
-    const auto &s = core_.vr()[src.idx];
-    std::vector<uint16_t> out(length());
-    for (size_t g = 0; g < length(); g += grp)
-        for (size_t i = 0; i < grp; ++i)
-            out[g + i] = s[g + which * subgrp + (i % subgrp)];
-    d = std::move(out);
+    apu::LaneVector &d = core_.vr().lanes(dst.idx);
+    const apu::LaneVector &s = core_.vr().lanes(src.idx);
+    size_t off = which * subgrp; // the subgroup's first lane in a group
+    if (grp == length() && subgrp == 1) {
+        // One scalar fills every lane.
+        d.setExtent(0, s.lane(off));
+        return;
+    }
+    // Copy the groups whose subgroup starts in src's head; every later
+    // group repeats src's tail (apusim/lane_vector.hh). The subgroup
+    // of group g lies in group g, so with dst == src each group skips
+    // only the copy onto itself and reads nothing it wrote.
+    size_t h = s.hi() > off ? divCeil(s.hi() - off, grp) * grp : 0;
+    s.widen(h);
+    uint16_t tail = s.tail();
+    const uint16_t *in = s.head();
+    uint16_t *out = d.head();
+    for (size_t g = 0; g < h; g += grp)
+        for (size_t j = 0; j < grp; j += subgrp)
+            if (out + g + j != in + g + off)
+                std::copy_n(in + g + off, subgrp, out + g + j);
+    d.setExtent(h, tail);
 }
 
 void

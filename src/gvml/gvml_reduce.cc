@@ -35,9 +35,17 @@ Gvml::addSubgrpS16(Vr dst, Vr src, size_t grp, size_t subgrp)
     const auto &cp = core_.timing().compute;
     const auto &ct = core_.timing().control;
 
-    std::vector<uint16_t> work;
-    if (core_.functional())
-        work = core_.vr()[src.idx];
+    // Functionally every stage runs in place in dst's materialized
+    // storage, which first takes src's value (nothing to copy when dst
+    // is src). Lane i reads lane i + step before the pass writes that
+    // lane, so each pass is exact in place, with no temporary.
+    uint16_t *w = nullptr;
+    size_t n = length();
+    if (core_.functional()) {
+        apu::LaneVector &d = core_.vr().lanes(dst.idx);
+        d.assign(core_.vr().lanes(src.idx));
+        w = d.full().data();
+    }
 
     uint64_t ls = log2Floor(subgrp == 0 ? 1 : subgrp);
     for (size_t step = grp / 2; step >= subgrp; step /= 2) {
@@ -48,17 +56,10 @@ Gvml::addSubgrpS16(Vr dst, Vr src, size_t grp, size_t subgrp)
         core_.chargeVectorOp(cp.addS16);
         core_.chargeRaw(ct.vcuDecode); // mask re-arm between the pair
 
-        if (core_.functional()) {
-            for (size_t i = 0; i + step < work.size(); ++i) {
-                int32_t sum = static_cast<int16_t>(work[i]) +
-                              static_cast<int16_t>(work[i + step]);
-                work[i] = static_cast<uint16_t>(sum & 0xffff);
-            }
-        }
+        if (w)
+            for (size_t i = 0; i + step < n; ++i)
+                w[i] = static_cast<uint16_t>(w[i] + w[i + step]);
     }
-
-    if (core_.functional())
-        core_.vr()[dst.idx] = std::move(work);
 }
 
 uint32_t

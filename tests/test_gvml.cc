@@ -183,9 +183,56 @@ class GvmlTest : public ::testing::Test
             x = rng.nextU16();
     }
 
+    /**
+     * A random head of `hi` lanes and a random tail
+     * (apusim/lane_vector.hh); returns every lane's logical value.
+     */
+    std::vector<uint16_t>
+    fillExtent(Vr v, size_t hi, uint64_t seed)
+    {
+        Rng rng(seed);
+        LaneVector &lv = dev.core(0).vr().lanes(v.idx);
+        for (size_t i = 0; i < hi; ++i)
+            lv.head()[i] = rng.nextU16();
+        lv.setExtent(hi, rng.nextU16());
+        std::vector<uint16_t> all(lv.length());
+        for (size_t i = 0; i < all.size(); ++i)
+            all[i] = lv.lane(i);
+        return all;
+    }
+
     ApuDevice dev;
     Gvml g;
 };
+
+/**
+ * add_subgrp_s16 as the staged shift-and-add over a full-width copy:
+ * each stage adds lane i + step into lane i, for every lane that has
+ * one, with step halving from grp/2 down to subgrp.
+ */
+std::vector<uint16_t>
+stagedSubgroupSum(std::vector<uint16_t> work, size_t grp, size_t subgrp)
+{
+    for (size_t step = grp / 2; step >= subgrp; step /= 2)
+        for (size_t i = 0; i + step < work.size(); ++i)
+            work[i] = u16(s16(work[i]) + s16(work[i + step]));
+    return work;
+}
+
+/** Subgroup `which` of each group of `grp` lanes, repeated over it. */
+std::vector<uint16_t>
+subgroupBroadcast(const std::vector<uint16_t> &src, size_t grp,
+                  size_t subgrp, size_t which)
+{
+    std::vector<uint16_t> out(src.size());
+    for (size_t g = 0; g < src.size(); g += grp)
+        for (size_t i = 0; i < grp; ++i)
+            out[g + i] = src[g + which * subgrp + i % subgrp];
+    return out;
+}
+
+/** Head extents the every-lane subgroup tests start their source at. */
+constexpr size_t kSrcHis[] = {32768, 1000, 0};
 
 } // namespace
 
@@ -427,6 +474,84 @@ TEST_F(GvmlTest, SubgroupReductionIdentityWhenEqual)
     fillRandom(Vr(1), 9);
     g.addSubgrpS16(Vr(0), Vr(1), 64, 64);
     EXPECT_EQ(g.data(Vr(0)), g.data(Vr(1)));
+}
+
+TEST_F(GvmlTest, SubgroupReductionMatchesTheStagedLoopOnEveryLane)
+{
+    // Every lane, the partial sums past each group's first `subgrp`
+    // lanes included, equals the staged loop's, whether the result
+    // lands in another register or in the source itself, and from a
+    // full, a short and an empty source head.
+    const size_t L = g.length();
+    const std::pair<size_t, size_t> shapes[] = {
+        {8, 2}, {64, 64}, {512, 1}, {1024, 8}, {4096, 2}, {L, 1}};
+    for (auto [grp, subgrp] : shapes) {
+        for (size_t hi : kSrcHis) {
+            for (bool in_place : {false, true}) {
+                const Vr src{1}, dst = in_place ? src : Vr(0);
+                g.cpyImm16(Vr(0), 0x5a5a); // a stale destination
+                auto in = fillExtent(src, hi, grp * 31 + subgrp + hi);
+                auto want = stagedSubgroupSum(in, grp, subgrp);
+                g.addSubgrpS16(dst, src, grp, subgrp);
+                std::string what = "grp " + std::to_string(grp) +
+                    " subgrp " + std::to_string(subgrp) + " hi " +
+                    std::to_string(hi) + (in_place ? " dst = src" : "");
+                const auto &got = g.data(dst);
+                for (size_t i = 0; i < L; ++i)
+                    ASSERT_EQ(got[i], want[i]) << what << " lane " << i;
+                if (!in_place) {
+                    ASSERT_EQ(g.data(src), in) << what << " (source)";
+                }
+                // The closed form gvml.hh states, at group edges,
+                // inside groups and at the end of the VR.
+                for (size_t i : {size_t{0}, subgrp - 1, subgrp, grp - 1,
+                                 L / 2 + 3, L - grp, L - 2, L - 1}) {
+                    uint16_t sum = 0;
+                    for (size_t m = 0;
+                         m < grp / subgrp && i + m * subgrp < L; ++m)
+                        sum = u16(sum + in[i + m * subgrp]);
+                    ASSERT_EQ(got[i], sum) << what << " closed form " << i;
+                }
+            }
+        }
+    }
+}
+
+TEST_F(GvmlTest, SubgroupBroadcastMatchesTheReferenceOnEveryLane)
+{
+    // Opt1's per-dimension scalar (one group of L, subgroup 1), the
+    // spatial mapping's in-place query replication (L, 512) and two
+    // multi-group shapes, each from a full, a short and an empty
+    // source head, into another register and into the source.
+    const size_t L = g.length();
+    struct Shape
+    {
+        size_t grp, subgrp, which;
+    };
+    const Shape shapes[] = {{L, 1, 0},      {L, 1, 5},
+                            {L, 1, L - 1},  {L, 512, 0},
+                            {1024, 128, 3}, {64, 16, 2}};
+    for (const Shape &s : shapes) {
+        for (size_t hi : kSrcHis) {
+            for (bool in_place : {false, true}) {
+                const Vr src{1}, dst = in_place ? src : Vr(0);
+                g.cpyImm16(Vr(0), 0x5a5a); // a stale destination
+                auto in = fillExtent(src, hi, s.grp + s.which + hi);
+                auto want = subgroupBroadcast(in, s.grp, s.subgrp, s.which);
+                g.cpySubgrp16Grp(dst, src, s.grp, s.subgrp, s.which);
+                std::string what = "grp " + std::to_string(s.grp) +
+                    " subgrp " + std::to_string(s.subgrp) + " which " +
+                    std::to_string(s.which) + " hi " +
+                    std::to_string(hi) + (in_place ? " dst = src" : "");
+                const auto &got = g.data(dst);
+                for (size_t i = 0; i < L; ++i)
+                    ASSERT_EQ(got[i], want[i]) << what << " lane " << i;
+                if (!in_place) {
+                    ASSERT_EQ(g.data(src), in) << what << " (source)";
+                }
+            }
+        }
+    }
 }
 
 TEST_F(GvmlTest, CountMarked)

@@ -1003,6 +1003,8 @@ TEST(RagBatch, WarmRetrieverAnswersExactlyLikeAFreshOne)
         {"exhaustive", batch(3, {})},
         {"nprobe 1", batch(2, {1, kFilterAll})},
         {"temporal", single(RagVariant::AllOpts)},
+        // Leaves vrQ a uniform broadcast for the calls that follow.
+        {"opt1", single(RagVariant::Opt1)},
         {"nprobe K", batch(4, {4, kFilterAll})},
         {"spatial", single(RagVariant::NoOpt)},
         {"filtered", batch(3, {0, 0x5a})},

@@ -809,6 +809,25 @@ TEST(LaneExtent, ExtentAwareOpsMatchFullWidth)
          }},
         {"rspSet",
          [](Gvml &g) { g.core().rspSet(6, 1005, 0x4242); return 0; }},
+        {"cpySubgrp16Grp uniform",
+         [](Gvml &g) {
+             g.cpySubgrp16Grp(Vr(0), Vr(1), kLanes, 1, 70);
+             return 0;
+         }},
+        {"cpySubgrp16Grp head-limited",
+         [](Gvml &g) {
+             g.cpySubgrp16Grp(Vr(0), Vr(1), 64, 16, 2);
+             return 0;
+         }},
+        {"cpySubgrp16Grp dst = src",
+         [](Gvml &g) {
+             g.cpySubgrp16Grp(Vr(1), Vr(1), 1024, 128, 3);
+             return 0;
+         }},
+        {"addSubgrpS16",
+         [](Gvml &g) { g.addSubgrpS16(Vr(0), Vr(1), 512, 1); return 0; }},
+        {"addSubgrpS16 dst = src",
+         [](Gvml &g) { g.addSubgrpS16(Vr(1), Vr(1), 1024, 8); return 0; }},
         {"load16", [](Gvml &g) { g.load16(Vr(0), Vmr(3)); return 0; }},
         {"store16 then load16",
          [](Gvml &g) {
