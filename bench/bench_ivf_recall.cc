@@ -94,11 +94,8 @@ main()
     spec.topics = 32;
     IvfBuildConfig build{32, 16384, 4};
 
-    std::printf("training coarse quantizer (K=%zu) over %zu chunks "
-                "...\n",
-                build.numLists, spec.numChunks);
-    auto cl = IvfClustering::build(spec, kSeed, build);
-
+    // The corpus is generated once, into the flat CPU golden; the
+    // coarse quantizer trains from its rows.
     std::printf("materializing the flat CPU golden (%.1f GB) ...\n",
                 spec.embeddingBytes() / 1e9);
     IndexFlatI16 flat(spec.dim);
@@ -107,6 +104,11 @@ main()
                                  spec.numChunks, kSeed);
         flat.add(emb.data(), spec.numChunks);
     }
+
+    std::printf("training coarse quantizer (K=%zu) over %zu chunks "
+                "...\n",
+                build.numLists, spec.numChunks);
+    auto cl = IvfClustering::build(flat, build);
     IndexIvfI16 ivf(flat, cl, spec, kSeed);
 
     std::vector<std::vector<int16_t>> queries;

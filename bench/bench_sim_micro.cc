@@ -35,11 +35,13 @@
 #include "bench_report.hh"
 #include "common/metrics.hh"
 #include "dramsim/dram_sim.hh"
+#include "fleet/fleet.hh"
 #include "gvml/gvml.hh"
 #include "gvml/microcode.hh"
 #include "common/rng.hh"
 #include "kernels/bmm.hh"
 #include "kernels/rag.hh"
+#include "kernels/serving.hh"
 #include "kernels/sort.hh"
 
 using namespace cisram;
@@ -484,6 +486,49 @@ runSimMicroReport()
             report.scalar("rag_mapping_host_wall_seconds." + key,
                           elapsedSeconds(t0));
         }
+    }
+
+    // Host time of serving set-up (informational: varies by
+    // machine), under a private registry so the snapshot's metrics
+    // stay those of the sections above.
+    {
+        auto shard = metrics::Registry::makeShard();
+        metrics::ShardScope scope(shard.get());
+
+        // A functional IVF fleet in repobench serve_functional's
+        // shape: one golden and one clustering per shard, shared by
+        // its two replicas.
+        fleet::FleetConfig cfg;
+        cfg.devices = 4;
+        cfg.replicas = 2;
+        cfg.shards = 8;
+        cfg.functional = true;
+        cfg.server.ivf.enabled = true;
+        cfg.server.ivf.build = {4, 4096, 4};
+        const baseline::RagCorpusSpec corpus{"fleet", 0, 8192, 368, 0,
+                                             32};
+        auto t0 = std::chrono::steady_clock::now();
+        fleet::Router router(corpus, 77, cfg);
+        report.scalar("ivf_fleet_setup_host_wall_seconds",
+                      elapsedSeconds(t0));
+
+        // A fresh functional server on a 1 024-chunk shard with its
+        // golden, serving one query: staging plus one scan.
+        apu::ApuDevice dev;
+        const baseline::RagCorpusSpec spec{"shard", 0, 1024, 368};
+        baseline::IndexFlatI16 golden(spec.dim);
+        auto emb = baseline::genEmbeddings(spec, 0, spec.numChunks, 77);
+        golden.add(emb.data(), spec.numChunks);
+        t0 = std::chrono::steady_clock::now();
+        kernels::DeviceServer server(dev, spec, 0, &golden, 77);
+        cisram_assert(server.enqueueAt(1, baseline::genQuery(spec.dim, 1),
+                                       0.0)
+                          .ok(),
+                      "sim_micro: the query was not admitted");
+        auto outs = server.drain();
+        benchmark::DoNotOptimize(outs);
+        report.scalar("server_first_batch_host_wall_seconds",
+                      elapsedSeconds(t0));
     }
 
     report.write();

@@ -42,50 +42,71 @@ IvfClustering
 IvfClustering::build(const RagCorpusSpec &spec, uint64_t seed,
                      const IvfBuildConfig &cfg)
 {
-    cisram_assert(spec.numChunks > 0, "empty corpus");
-    size_t dim = spec.dim;
-    size_t k = std::max<size_t>(
-        1, std::min(cfg.numLists, spec.numChunks));
+    return train(spec.numChunks, spec.dim,
+                 [&spec, seed](size_t i, int16_t *scratch) {
+                     genEmbeddingRow(spec, spec.firstChunk + i, seed,
+                                     scratch);
+                     return static_cast<const int16_t *>(scratch);
+                 },
+                 cfg);
+}
+
+IvfClustering
+IvfClustering::build(const IndexFlatI16 &flat, const IvfBuildConfig &cfg)
+{
+    const int16_t *rows = flat.raw().data();
+    size_t dim = flat.dim();
+    return train(flat.size(), dim,
+                 [rows, dim](size_t i, int16_t *) { return rows + i * dim; },
+                 cfg);
+}
+
+IvfClustering
+IvfClustering::train(size_t chunks, size_t dim, const RowSource &row,
+                     const IvfBuildConfig &cfg)
+{
+    cisram_assert(chunks > 0, "empty corpus");
+    size_t k = std::max<size_t>(1, std::min(cfg.numLists, chunks));
 
     // Fixed-stride training sample: deterministic and spread across
     // the whole id range (topics are hash-assigned, so a stride is as
     // unbiased as a shuffle without needing RNG state).
-    size_t sampleCount =
-        std::max(k, std::min(cfg.trainSample, spec.numChunks));
-    sampleCount = std::min(sampleCount, spec.numChunks);
-    size_t stride = spec.numChunks / sampleCount;
+    size_t sampleCount = std::max(k, std::min(cfg.trainSample, chunks));
+    sampleCount = std::min(sampleCount, chunks);
+    size_t stride = chunks / sampleCount;
     std::vector<int16_t> sample(sampleCount * dim);
-    for (size_t i = 0; i < sampleCount; ++i)
-        genEmbeddingRow(spec, spec.firstChunk + i * stride, seed,
-                        sample.data() + i * dim);
+    for (size_t i = 0; i < sampleCount; ++i) {
+        int16_t *dst = sample.data() + i * dim;
+        const int16_t *src = row(i * stride, dst);
+        if (src != dst)
+            std::copy_n(src, dim, dst);
+    }
 
     // Init: evenly strided sample rows as the first centroids.
     IvfClustering cl;
     cl.dim_ = dim;
     cl.centroids_.resize(k * dim);
     for (size_t j = 0; j < k; ++j) {
-        const int16_t *row =
+        const int16_t *first =
             sample.data() + (j * sampleCount / k) * dim;
-        std::copy(row, row + dim, cl.centroids_.begin() + j * dim);
+        std::copy(first, first + dim, cl.centroids_.begin() + j * dim);
     }
 
     // Lloyd: max-IP assignment (the Phoenix kmeansApu idiom — the
     // device scores candidates by inner product, so training with the
     // same affinity keeps probe selection aligned with what the
     // distance kernel will actually compute), rounded-mean update.
-    std::vector<size_t> assign(sampleCount);
     std::vector<int64_t> sums(k * dim);
     std::vector<size_t> counts(k);
     for (size_t it = 0; it < cfg.iterations; ++it) {
         std::fill(sums.begin(), sums.end(), 0);
         std::fill(counts.begin(), counts.end(), 0);
         for (size_t i = 0; i < sampleCount; ++i) {
-            const int16_t *row = sample.data() + i * dim;
-            size_t j = bestList(row, cl.centroids_, k, dim);
-            assign[i] = j;
+            const int16_t *r = sample.data() + i * dim;
+            size_t j = bestList(r, cl.centroids_, k, dim);
             ++counts[j];
             for (size_t d = 0; d < dim; ++d)
-                sums[j * dim + d] += row[d];
+                sums[j * dim + d] += r[d];
         }
         for (size_t j = 0; j < k; ++j) {
             if (counts[j] == 0)
@@ -102,25 +123,23 @@ IvfClustering::build(const RagCorpusSpec &spec, uint64_t seed,
     // chunks in ascending id order makes ids ascend within each
     // list — the device path's per-supertile top-k extraction is
     // only tie-exact under that ordering.
-    cl.assign_.resize(spec.numChunks);
+    cl.assign_.resize(chunks);
     std::vector<uint64_t> listCounts(k, 0);
-    std::vector<int16_t> row(dim);
-    for (size_t c = 0; c < spec.numChunks; ++c) {
-        genEmbeddingRow(spec, spec.firstChunk + c, seed, row.data());
+    std::vector<int16_t> scratch(dim);
+    for (size_t c = 0; c < chunks; ++c) {
         uint32_t j = static_cast<uint32_t>(
-            bestList(row.data(), cl.centroids_, k, dim));
+            bestList(row(c, scratch.data()), cl.centroids_, k, dim));
         cl.assign_[c] = j;
         ++listCounts[j];
     }
     cl.offsets_.assign(k + 1, 0);
     for (size_t j = 0; j < k; ++j)
         cl.offsets_[j + 1] = cl.offsets_[j] + listCounts[j];
-    cl.order_.resize(spec.numChunks);
+    cl.order_.resize(chunks);
     std::vector<uint64_t> cursor(cl.offsets_.begin(),
                                  cl.offsets_.end() - 1);
-    for (size_t c = 0; c < spec.numChunks; ++c)
-        cl.order_[cursor[cl.assign_[c]]++] =
-            static_cast<uint32_t>(c);
+    for (size_t c = 0; c < chunks; ++c)
+        cl.order_[cursor[cl.assign_[c]]++] = static_cast<uint32_t>(c);
     return cl;
 }
 

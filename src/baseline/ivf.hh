@@ -12,7 +12,8 @@
  * scans only the `nprobe` most promising lists.
  *
  * Determinism contract (everything here is pure function of
- * (spec, seed, config)):
+ * (spec, seed, config), or of (flat index, config) for a clustering
+ * trained from already-materialized rows):
  *  - training sample = fixed-stride subset of the corpus;
  *  - init centroids = evenly strided sample rows;
  *  - assignment ties go to the lowest centroid id;
@@ -26,6 +27,12 @@
  * computes; on the clustered corpus model (workloads.hh, topics > 0)
  * it separates topics cleanly.
  *
+ * Both build entry points run the same training over a row source:
+ * one generates rows from (spec, seed), the other reads the rows of
+ * a flat index, such as the fleet router's per-shard golden. Flat
+ * row i is spec-local chunk i, so the two agree bit for bit on the
+ * same rows, and a shard's rows are generated once.
+ *
  * The `nprobe = numLists` identity invariant: probing every list
  * scans exactly the same chunk set as the exhaustive path, so the
  * answers must bit-compare — on the CPU golden and on the APU,
@@ -37,6 +44,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "baseline/faisslite.hh"
@@ -54,9 +62,10 @@ struct IvfBuildConfig
 
 /**
  * The trained coarse quantizer + inverted lists for one corpus spec.
- * Holds spec-local chunk ids; a fleet shard builds its own clustering
- * over its slice and the router's merge stays exact because
- * `nprobe >= numLists` per shard degenerates to exhaustive per shard.
+ * Holds spec-local chunk ids; the fleet router trains one clustering
+ * per shard over its slice, shared by the shard's replicas, and its
+ * merge stays exact because `nprobe >= numLists` per shard
+ * degenerates to exhaustive per shard.
  */
 class IvfClustering
 {
@@ -64,6 +73,14 @@ class IvfClustering
     /** Train centroids and assign every chunk. Pure in its inputs. */
     static IvfClustering build(const RagCorpusSpec &spec,
                                uint64_t seed,
+                               const IvfBuildConfig &cfg = {});
+
+    /**
+     * The same training over a materialized corpus: flat row i is
+     * spec-local chunk i. Equal to build(spec, seed, cfg) when
+     * `flat` holds that spec's rows at that seed.
+     */
+    static IvfClustering build(const IndexFlatI16 &flat,
                                const IvfBuildConfig &cfg = {});
 
     size_t numLists() const { return offsets_.size() - 1; }
@@ -102,6 +119,18 @@ class IvfClustering
     }
 
   private:
+    /**
+     * Row i of the training corpus: a pointer to its dim elements,
+     * either stored elsewhere or written into `scratch`.
+     */
+    using RowSource =
+        std::function<const int16_t *(size_t i, int16_t *scratch)>;
+
+    /** Lloyd training and final assignment over `chunks` rows. */
+    static IvfClustering train(size_t chunks, size_t dim,
+                               const RowSource &row,
+                               const IvfBuildConfig &cfg);
+
     size_t dim_ = 0;
     std::vector<int16_t> centroids_; ///< numLists x dim
     std::vector<uint64_t> offsets_;  ///< numLists + 1

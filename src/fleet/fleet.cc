@@ -96,20 +96,38 @@ Router::Router(const baseline::RagCorpusSpec &corpus,
         routerBreakers_.emplace_back(cfg_.server.breakerThreshold,
                                      cfg_.server.breakerCooldown);
 
-    // One exact index per shard, shared read-only by the servers of
-    // its replicas.
-    if (cfg_.functional) {
-        for (unsigned s = 0; s < shards_; ++s) {
-            ShardRange range = shardChunkRange(corpus_.numChunks,
-                                               shards_, s);
+    // Each shard's spec, and the state its replicas share read-only:
+    // in functional fleets one exact index, the only place the
+    // shard's rows are generated, and with IVF serving one
+    // clustering, trained from those rows (TimingOnly fleets have no
+    // rows, so theirs generates them).
+    std::vector<baseline::RagCorpusSpec> specs;
+    for (unsigned s = 0; s < shards_; ++s) {
+        ShardRange range = shardChunkRange(corpus_.numChunks, shards_, s);
+        baseline::RagCorpusSpec spec = corpus_;
+        spec.corpusBytes = corpus_.corpusBytes *
+            (static_cast<double>(range.numChunks) /
+             static_cast<double>(corpus_.numChunks));
+        spec.numChunks = range.numChunks;
+        spec.firstChunk = range.firstChunk;
+        specs.push_back(spec);
+        if (cfg_.functional) {
             auto golden =
                 std::make_unique<baseline::IndexFlatI16>(corpus_.dim);
             std::vector<int16_t> emb = baseline::genEmbeddings(
-                corpus_, range.firstChunk, range.numChunks,
-                corpusSeed_);
-            golden->add(emb.data(), range.numChunks);
+                spec, spec.firstChunk, spec.numChunks, corpusSeed_);
+            golden->add(emb.data(), spec.numChunks);
             goldens_.push_back(std::move(golden));
         }
+        if (cfg_.server.ivf.enabled)
+            clusterings_.push_back(
+                std::make_unique<baseline::IvfClustering>(
+                    cfg_.functional
+                        ? baseline::IvfClustering::build(
+                              *goldens_[s], cfg_.server.ivf.build)
+                        : baseline::IvfClustering::build(
+                              spec, corpusSeed_,
+                              cfg_.server.ivf.build)));
     }
 
     apu::ApuSpec spec = apu::defaultSpec();
@@ -133,12 +151,7 @@ Router::Router(const baseline::RagCorpusSpec &corpus,
             ss.shard = s;
             ss.range = shardChunkRange(corpus_.numChunks, shards_,
                                        s);
-            ss.spec = corpus_;
-            ss.spec.corpusBytes = corpus_.corpusBytes *
-                (static_cast<double>(ss.range.numChunks) /
-                 static_cast<double>(corpus_.numChunks));
-            ss.spec.numChunks = ss.range.numChunks;
-            ss.spec.firstChunk = ss.range.firstChunk;
+            ss.spec = specs[s];
 
             kernels::ServerConfig scfg = cfg_.server;
             scfg.topK = cfg_.topK;
@@ -153,7 +166,9 @@ Router::Router(const baseline::RagCorpusSpec &corpus,
             ss.server = std::make_unique<kernels::DeviceServer>(
                 *fd.dev, ss.spec, core,
                 cfg_.functional ? goldens_[s].get() : nullptr,
-                corpusSeed_, scfg);
+                corpusSeed_, scfg,
+                cfg_.server.ivf.enabled ? clusterings_[s].get()
+                                        : nullptr);
             fd.servers.push_back(std::move(ss));
         }
     }

@@ -53,6 +53,7 @@
 
 #include "apusim/apu.hh"
 #include "baseline/faisslite.hh"
+#include "baseline/ivf.hh"
 #include "baseline/workloads.hh"
 #include "common/metrics.hh"
 #include "common/status.hh"
@@ -430,6 +431,8 @@ class Router
     Fabric fabric_;
     /** Functional fleets: shard s's exact index; outlives fleet_. */
     std::vector<std::unique_ptr<baseline::IndexFlatI16>> goldens_;
+    /** IVF serving: shard s's clustering; outlives fleet_. */
+    std::vector<std::unique_ptr<baseline::IvfClustering>> clusterings_;
     std::vector<FleetDevice> fleet_;
     std::vector<kernels::CircuitBreaker> routerBreakers_;
     obs::FlightRecorder flight_;

@@ -291,15 +291,53 @@ stageOnce(std::unique_ptr<StagedPlanes> &slot, ApuDevice &dev,
     return *slot;
 }
 
-/** Corpus rows: row i is local position positions[i] (i if null). */
+/**
+ * Dies unless `rows` holds `spec`'s base rows at `seed`: its size and
+ * dim, and its first row against the generator.
+ */
+void
+checkRows(const baseline::IndexFlatI16 &rows, const RagCorpusSpec &spec,
+          uint64_t seed)
+{
+    size_t base =
+        spec.epochView ? spec.epochView->baseChunks : spec.numChunks;
+    cisram_assert(rows.size() == base && rows.dim() == spec.dim,
+                  "RagBatchOptions::rows holds ", rows.size(), " rows x ",
+                  rows.dim(), " dims for a corpus of ", base,
+                  " base rows x ", spec.dim);
+    if (base == 0)
+        return;
+    std::vector<int16_t> first(spec.dim);
+    baseline::genEmbeddingRow(spec, spec.globalChunk(0), seed,
+                              first.data());
+    cisram_assert(std::equal(first.begin(), first.end(),
+                             rows.raw().begin()),
+                  "RagBatchOptions::rows row 0 is not chunk ",
+                  spec.globalChunk(0), " at seed ", seed,
+                  " (rows of another seed or shard)");
+}
+
+/**
+ * Corpus rows: row i is local position positions[i] (i if null).
+ * Base positions are copied from `base` when given, checked before
+ * the first row, and every other row is generated.
+ */
 StagedPlanes::RowFn
 corpusRows(const RagCorpusSpec &spec, uint64_t seed,
-           const uint32_t *positions = nullptr)
+           const uint32_t *positions = nullptr,
+           const baseline::IndexFlatI16 *base = nullptr)
 {
-    return [&spec, seed, positions](size_t i, int16_t *out) {
-        baseline::genEmbeddingRow(
-            spec, spec.globalChunk(positions ? positions[i] : i), seed,
-            out);
+    return [&spec, seed, positions, base,
+            checked = false](size_t i, int16_t *out) mutable {
+        uint64_t p = positions ? positions[i] : i;
+        if (base && !checked) {
+            checkRows(*base, spec, seed);
+            checked = true;
+        }
+        if (base && p < base->size())
+            std::copy_n(base->raw().data() + p * spec.dim, spec.dim, out);
+        else
+            baseline::genEmbeddingRow(spec, spec.globalChunk(p), seed, out);
     };
 }
 
@@ -775,7 +813,8 @@ RagRetriever::retrieveBatch(
         // Admit marks: epoch liveness (tombstoned chunks keep their
         // staged position but never match) AND the metadata
         // predicate; lanes past the last row ingest as 0.
-        scan(run, corpusRows(corpus_, corpus_seed, run.positions),
+        scan(run,
+             corpusRows(corpus_, corpus_seed, run.positions, opts.rows),
              [&](size_t i) {
                  uint64_t p = run.position(i);
                  return corpus_.chunkLive(p) &&

@@ -113,6 +113,18 @@ struct RagBatchOptions
      * batch brings a clustering of other content.
      */
     const baseline::IvfClustering *ivf = nullptr;
+
+    /**
+     * The corpus's base rows at the call's seed (row i is local
+     * position i; an epoch overlay's inserts are not in it), or null.
+     * Functional staging copies base positions from it instead of
+     * generating them, and generates only inserted rows. Staged runs
+     * are identical either way. Each staging that reads the rows
+     * first checks their size, dim and first row against the
+     * generator, so rows of another seed or shard die rather than
+     * answer.
+     */
+    const baseline::IndexFlatI16 *rows = nullptr;
 };
 
 /** Table 8 stage latencies, in seconds. */

@@ -159,7 +159,8 @@ BatchFormer::takeBatch()
 
 DeviceServer::DeviceServer(apu::ApuDevice &dev, RagCorpusSpec spec,
                            unsigned core, const IndexFlatI16 *golden,
-                           uint64_t corpus_seed, ServerConfig cfg)
+                           uint64_t corpus_seed, ServerConfig cfg,
+                           const baseline::IvfClustering *clustering)
     : dev_(dev), spec_(spec), core_(core), golden_(golden),
       corpusSeed_(corpus_seed), cfg_(cfg),
       breaker_(cfg.breakerThreshold, cfg.breakerCooldown),
@@ -169,6 +170,7 @@ DeviceServer::DeviceServer(apu::ApuDevice &dev, RagCorpusSpec spec,
       host_(dev),
       qbuf_(std::in_place, host_,
             cfg.batch.maxBatch * spec.dim * 2),
+      clustering_(clustering),
       former_(cfg.batch),
       health_(core, cfg.health, cfg.deviceIndex),
       flight_(core, cfg.flight)
@@ -177,13 +179,19 @@ DeviceServer::DeviceServer(apu::ApuDevice &dev, RagCorpusSpec spec,
     host_.setDeviceHint(cfg.deviceIndex);
     hbm_.setScrubConfig(cfg.scrub);
     hbm_.setDeviceIndex(cfg.deviceIndex);
-    if (cfg_.ivf.enabled) {
-        // Host state: trained once per shard, survives core resets
-        // (only the device-side staging is re-paid: the rebuilt
-        // retriever stages the centroids and each list on first use).
-        clustering_ = std::make_unique<baseline::IvfClustering>(
-            baseline::IvfClustering::build(spec_, corpusSeed_,
-                                           cfg_.ivf.build));
+    cisram_assert(cfg_.ivf.enabled == (clustering_ != nullptr),
+                  cfg_.ivf.enabled
+                      ? "ServerConfig::ivf.enabled is set, but the "
+                        "server was given no clustering"
+                      : "the server was given a clustering, but "
+                        "ServerConfig::ivf.enabled is off");
+    if (clustering_) {
+        cisram_assert(clustering_->numChunks() == spec_.numChunks &&
+                          clustering_->dim() == spec_.dim,
+                      "clustering of ", clustering_->numChunks(),
+                      " chunks x ", clustering_->dim(),
+                      " dims for a shard of ", spec_.numChunks, " x ",
+                      spec_.dim);
         if (golden_)
             goldenIvf_ = std::make_unique<baseline::IndexIvfI16>(
                 *golden_, *clustering_, spec_, corpusSeed_);
@@ -197,7 +205,7 @@ DeviceServer::enqueueAt(uint64_t id, std::vector<int16_t> embedding,
 {
     cisram_assert(embedding.size() == spec_.dim,
                   "query dim mismatch");
-    cisram_assert(search.nprobe == 0 || cfg_.ivf.enabled,
+    cisram_assert(search.nprobe == 0 || clustering_,
                   "query #", id, " requests nprobe=", search.nprobe,
                   " but the server has no IVF clustering "
                   "(ServerConfig::ivf.enabled)");
@@ -373,7 +381,7 @@ std::vector<ServeOutcome>
 DeviceServer::applyMutation(const RagCorpusSpec &epoch_spec,
                             uint64_t new_epoch, uint64_t delta_bytes)
 {
-    cisram_assert(!cfg_.ivf.enabled,
+    cisram_assert(!clustering_,
                   "corpus mutation is not supported with IVF "
                   "serving (the clustering would need a rebuild)");
     cisram_assert(new_epoch == epoch_ + 1, "epoch must advance by 1 "
@@ -398,7 +406,8 @@ DeviceServer::applyMutation(const RagCorpusSpec &epoch_spec,
     if (delta_bytes > 0) {
         // Charge the delta transfer (inserted rows + refreshed
         // tombstone plane) over PCIe through a bounce buffer. The
-        // staged content itself is hash-generated on demand, so a
+        // staged content itself comes from the host (base rows
+        // copied from the golden, inserted rows generated), so a
         // CRC-exhausted transfer costs time but cannot corrupt the
         // corpus; bounded retries, then proceed.
         gdl::HostStats before = host_.stats();
@@ -739,7 +748,8 @@ DeviceServer::tryDeviceBatch(const std::vector<PendingQuery> &batch,
     RagBatchOptions opts;
     opts.overlapStream = cfg_.overlapStream;
     opts.search = batch[0].search;
-    opts.ivf = clustering_.get();
+    opts.ivf = clustering_;
+    opts.rows = golden_;
 
     std::vector<RagRunResult> rs;
     st = host_.runTaskTimeoutOn(

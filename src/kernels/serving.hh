@@ -399,18 +399,20 @@ struct ServerConfig
 
     /**
      * IVF-lite serving (DESIGN.md section 11). When enabled the
-     * server trains a coarse quantizer over its corpus shard at
-     * construction (host-side; it survives core resets — the
-     * clustering is host state, only the device staging of its
-     * centroids and lists is re-paid) and honours per-query
-     * `nprobe`/`filterMask` params.
+     * server is handed its shard's coarse quantizer at construction
+     * and honours per-query `nprobe`/`filterMask` params; the server
+     * never trains one. The fleet router trains one clustering per
+     * shard with `build` (from the shard's golden rows in functional
+     * fleets) and shares it among the shard's replicas. It is host
+     * state and survives core resets; only the device staging of its
+     * centroids and lists is re-paid.
      * Disabled (default): params with nprobe > 0 are a
      * configuration error.
      */
     struct IvfServingConfig
     {
         bool enabled = false;
-        baseline::IvfBuildConfig build;
+        baseline::IvfBuildConfig build; ///< read by the fleet router
     } ivf;
 };
 
@@ -435,11 +437,17 @@ class DeviceServer
     /**
      * @param golden Exact CPU index for fallback answers; may be
      *        null (timing-only serving), in which case fallbacks
-     *        return no ids but still charge CPU latency.
+     *        return no ids but still charge CPU latency. When set,
+     *        it holds the shard's rows at `corpus_seed`, and the
+     *        retriever stages the corpus by copying them.
+     * @param clustering The shard's coarse quantizer: required when
+     *        cfg.ivf.enabled, and null otherwise. Non-owning, like
+     *        `golden`; both must outlive the server.
      */
     DeviceServer(apu::ApuDevice &dev, baseline::RagCorpusSpec spec,
                  unsigned core, const baseline::IndexFlatI16 *golden,
-                 uint64_t corpus_seed, ServerConfig cfg = {});
+                 uint64_t corpus_seed, ServerConfig cfg = {},
+                 const baseline::IvfClustering *clustering = nullptr);
 
     /**
      * Admit one query into this core's queue, journaled at simulated
@@ -552,7 +560,7 @@ class DeviceServer
     /** This shard's coarse quantizer (null unless cfg.ivf.enabled). */
     const baseline::IvfClustering *clustering() const
     {
-        return clustering_.get();
+        return clustering_;
     }
 
     /** This core's health watchdog (ladder state, transitions). */
@@ -647,11 +655,11 @@ class DeviceServer
     gdl::GdlContext host_;
     std::optional<gdl::DeviceBuffer> qbuf_; ///< maxBatch query stage
 
-    // Host-side IVF state (cfg.ivf.enabled): the coarse quantizer
-    // for this shard and, when a golden index exists, its IVF twin.
-    // Both survive core resets — a reset loses the device footprint,
-    // not the host's clustering.
-    std::unique_ptr<baseline::IvfClustering> clustering_;
+    // Host-side IVF state (cfg.ivf.enabled): the shard's coarse
+    // quantizer and, when a golden index exists, its IVF twin. Both
+    // survive core resets — a reset loses the device footprint, not
+    // the host's clustering.
+    const baseline::IvfClustering *clustering_;
     std::unique_ptr<baseline::IndexIvfI16> goldenIvf_;
 
     BatchFormer former_;

@@ -130,6 +130,46 @@ TEST(IvfClusteringTest, DeterministicAndCompletePartition)
                             [](bool s) { return s; }));
 }
 
+TEST(IvfClusteringTest, FlatIndexTrainingMatchesGeneration)
+{
+    // Training from a materialized corpus reads flat row i as
+    // spec-local chunk i: the same sample stride, init and tie rules,
+    // so every output agrees bit for bit with training that generates
+    // the rows.
+    struct Case
+    {
+        const char *what;
+        RagCorpusSpec spec;
+        IvfBuildConfig cfg;
+        bool emptyList; ///< some list must end up empty
+    };
+    RagCorpusSpec shard = clusteredSpec("ivf-shard", 1500, 6);
+    shard.firstChunk = 3217;
+    const Case cases[] = {
+        {"whole corpus, stride 2", clusteredSpec("ivf-whole", 2500, 16),
+         {8, 1024, 4}, false},
+        {"shard, stride 3", shard, {4, 500, 3}, false},
+        {"K > topics", clusteredSpec("ivf-empty", 600, 2), {16, 600, 4},
+         true},
+        {"K = 1", clusteredSpec("ivf-one", 700, 4), {1, 256, 2}, false},
+    };
+    for (const Case &c : cases) {
+        IndexFlatI16 flat = buildFlat(c.spec, kSeed);
+        auto gen = IvfClustering::build(c.spec, kSeed, c.cfg);
+        auto read = IvfClustering::build(flat, c.cfg);
+        EXPECT_EQ(read.centroids(), gen.centroids()) << c.what;
+        EXPECT_EQ(read.listOffsets(), gen.listOffsets()) << c.what;
+        EXPECT_EQ(read.order(), gen.order()) << c.what;
+        ASSERT_EQ(read.numChunks(), c.spec.numChunks) << c.what;
+        for (uint32_t id = 0; id < c.spec.numChunks; ++id)
+            ASSERT_EQ(read.listOf(id), gen.listOf(id)) << c.what << " " << id;
+        bool empty = false;
+        for (size_t list = 0; list < gen.numLists(); ++list)
+            empty = empty || gen.listSize(list) == 0;
+        EXPECT_EQ(empty, c.emptyList) << c.what;
+    }
+}
+
 TEST(IvfClusteringTest, SelectProbesTieOrderAndClamp)
 {
     auto spec = clusteredSpec("ivf-probes", 3000, 5);
@@ -531,16 +571,16 @@ TEST(IvfServingTest, ServerHonoursPerQueryParamsEndToEnd)
     auto spec = clusteredSpec("ivf-serving", 3000, 5);
     auto flat = buildFlat(spec, kSeed);
 
+    const auto cl = IvfClustering::build(flat, {4, 1024, 3});
+
     apu::ApuDevice dev;
     ServerConfig cfg;
     cfg.topK = 5;
     cfg.ivf.enabled = true;
-    cfg.ivf.build = IvfBuildConfig{4, 1024, 3};
     cfg.batch.maxBatch = 4;
     cfg.batch.maxLingerAdmissions = 64; // hold until drain
-    DeviceServer server(dev, spec, 0, &flat, kSeed, cfg);
-    ASSERT_NE(server.clustering(), nullptr);
-    const IvfClustering &cl = *server.clustering();
+    DeviceServer server(dev, spec, 0, &flat, kSeed, cfg, &cl);
+    ASSERT_EQ(server.clustering(), &cl);
     IndexIvfI16 ivf(flat, cl, spec, kSeed);
 
     struct Want
@@ -606,19 +646,41 @@ TEST(IvfServingTest, NprobeWithoutClusteringDies)
                  "IVF");
 }
 
+TEST(IvfServingTest, IvfWithoutClusteringDiesAtConstruction)
+{
+    // The server never trains: IVF serving without a clustering is a
+    // configuration error at construction, not at the first probe.
+    auto spec = clusteredSpec("ivf-nocl", 512, 3);
+    apu::ApuDevice dev;
+    ServerConfig cfg;
+    cfg.ivf.enabled = true;
+    EXPECT_DEATH(DeviceServer(dev, spec, 0, nullptr, kSeed, cfg),
+                 "ServerConfig::ivf.enabled is set, but the server was "
+                 "given no clustering");
+}
+
+TEST(IvfServingTest, ClusteringWithoutIvfDiesAtConstruction)
+{
+    auto spec = clusteredSpec("ivf-offcl", 512, 3);
+    const auto cl = IvfClustering::build(spec, kSeed, {4, 512, 2});
+    apu::ApuDevice dev;
+    EXPECT_DEATH(DeviceServer(dev, spec, 0, nullptr, kSeed, {}, &cl),
+                 "given a clustering, but ServerConfig::ivf.enabled is "
+                 "off");
+}
+
 TEST(IvfServingTest, ParamsSurviveJournalReplayAcrossReset)
 {
     auto spec = clusteredSpec("ivf-replay", 2000, 4);
     auto flat = buildFlat(spec, kSeed);
+    const auto cl = IvfClustering::build(flat, {4, 1024, 3});
 
     apu::ApuDevice dev;
     ServerConfig cfg;
     cfg.topK = 5;
     cfg.ivf.enabled = true;
-    cfg.ivf.build = IvfBuildConfig{4, 1024, 3};
     cfg.health.enabled = true;
-    DeviceServer server(dev, spec, 0, &flat, kSeed, cfg);
-    const IvfClustering &cl = *server.clustering();
+    DeviceServer server(dev, spec, 0, &flat, kSeed, cfg, &cl);
     IndexIvfI16 ivf(flat, cl, spec, kSeed);
 
     RagSearchParams p{2, 0x0009};
@@ -725,5 +787,48 @@ TEST(IvfFleetTest, EvacuationPreservesSearchParams)
                                          qs[i].data(), cfg.topK,
                                          p.filterMask);
         expectSameHits(outs[i].hits, expect, "post-evacuation");
+    }
+}
+
+TEST(IvfFleetTest, ReplicasShareTheShardClustering)
+{
+    // Each shard's clustering is trained once, by the router, and
+    // handed to every replica: it equals training over the shard's
+    // own rows, and a replica's reset keeps it.
+    auto spec = clusteredSpec("ivf-shared", 2048, 4);
+    for (bool functional : {true, false}) {
+        fleet::FleetConfig cfg;
+        cfg.devices = 2;
+        cfg.replicas = 2;
+        cfg.shards = 4;
+        cfg.functional = functional;
+        cfg.server.ivf.enabled = true;
+        cfg.server.ivf.build = IvfBuildConfig{4, 256, 3};
+        fleet::Router router(spec, kSeed, cfg);
+        const char *what = functional ? "functional" : "timing-only";
+        for (unsigned s = 0; s < router.shards(); ++s) {
+            const auto &prio = router.placement()[s];
+            ASSERT_EQ(prio.size(), 2u);
+            const IvfClustering *cl =
+                router.server(prio[0], s)->clustering();
+            ASSERT_NE(cl, nullptr);
+            EXPECT_EQ(router.server(prio[1], s)->clustering(), cl)
+                << what << " shard " << s;
+
+            fleet::ShardRange range =
+                fleet::shardChunkRange(spec.numChunks, router.shards(), s);
+            RagCorpusSpec shard = spec;
+            shard.numChunks = range.numChunks;
+            shard.firstChunk = range.firstChunk;
+            auto want = IvfClustering::build(shard, kSeed,
+                                             cfg.server.ivf.build);
+            EXPECT_EQ(cl->centroids(), want.centroids()) << what << s;
+            EXPECT_EQ(cl->listOffsets(), want.listOffsets()) << what << s;
+            EXPECT_EQ(cl->order(), want.order()) << what << s;
+
+            router.server(prio[1], s)->forceReset();
+            EXPECT_EQ(router.server(prio[1], s)->clustering(), cl)
+                << what << " shard " << s << " after a reset";
+        }
     }
 }

@@ -1070,3 +1070,108 @@ TEST(RagBatch, WarmRetrieverAnswersExactlyLikeAFreshOne)
         expectWarm(name + " second seed", call, seed2, f);
     }
 }
+
+namespace {
+
+/** Flat index of `spec`'s base rows at `seed`. */
+IndexFlatI16
+baseRows(const RagCorpusSpec &spec, uint64_t seed)
+{
+    size_t n = spec.epochView ? spec.epochView->baseChunks : spec.numChunks;
+    IndexFlatI16 flat(spec.dim);
+    auto emb = genEmbeddings(spec, spec.firstChunk, n, seed);
+    flat.add(emb.data(), n);
+    return flat;
+}
+
+} // namespace
+
+TEST(RagBatch, StagingFromRowsMatchesGeneration)
+{
+    // A retriever that copies its base rows from RagBatchOptions::rows
+    // stages the same runs as one that generates them: hits, every
+    // stage latency and every CycleStats number agree. The shard
+    // starts past chunk 0, so row i of the rows is global chunk
+    // firstChunk + i; a short dim keeps the sanitizer copy quick.
+    RagCorpusSpec spec{"rows", 0, 6000, 40, 2500, 4};
+    const IndexFlatI16 rows = baseRows(spec, kPinSeed);
+    const auto cl = IvfClustering::build(rows, {4, 2048, 4});
+
+    // Epoch 1 of the same shard: inserts past the base, tombstones on
+    // base and inserted chunks.
+    CorpusEpochView view;
+    view.epoch = 1;
+    view.baseChunks = spec.numChunks;
+    for (uint64_t i = 0; i < 150; ++i)
+        view.inserted.push_back(900000 + 5 * i);
+    view.deleted = {2500, 2501, 4000, 8499, 900000 + 5 * 3};
+    RagCorpusSpec epoch = spec;
+    epoch.numChunks = view.baseChunks + view.inserted.size();
+    epoch.epochView = &view;
+
+    struct Case
+    {
+        const char *what;
+        const RagCorpusSpec *spec;
+        size_t batch;
+        RagSearchParams search;
+    };
+    const Case cases[] = {
+        {"exhaustive", &spec, 3, {}},
+        {"filtered", &spec, 2, {0, 0x5a}},
+        {"nprobe 1", &spec, 4, {1, kFilterAll}},
+        {"nprobe K", &spec, 2, {cl.numLists(), 0x33}},
+        {"epoch overlay", &epoch, 3, {}},
+    };
+    for (const Case &c : cases) {
+        auto call = [&](const IndexFlatI16 *from) {
+            auto rig = std::make_unique<PinRig>(*c.spec, true);
+            RagBatchOptions o;
+            o.overlapStream = true;
+            o.search = c.search;
+            o.ivf = c.search.nprobe ? &cl : nullptr;
+            o.rows = from;
+            auto qs = pinQueries(*c.spec, c.batch);
+            // Twice: the second call runs on the resident runs.
+            auto res = rig->r.retrieveBatch(qs, kPinSeed, o);
+            auto again = rig->r.retrieveBatch(qs, kPinSeed, o);
+            res.insert(res.end(), again.begin(), again.end());
+            return std::make_pair(std::move(res), std::move(rig));
+        };
+        auto [copied, copiedRig] = call(&rows);
+        auto [generated, generatedRig] = call(nullptr);
+        ASSERT_EQ(copied.size(), generated.size()) << c.what;
+        for (size_t q = 0; q < copied.size(); ++q) {
+            EXPECT_EQ(copied[q].hits, generated[q].hits) << c.what << " " << q;
+            expectPin(simPin(copied[q], copiedRig->dev),
+                      simPin(generated[q], generatedRig->dev), c.what);
+        }
+        EXPECT_FALSE(copied[0].hits.empty()) << c.what;
+        EXPECT_EQ(copiedRig->dev.core(0).stats().breakdown(),
+                  generatedRig->dev.core(0).stats().breakdown())
+            << c.what;
+    }
+}
+
+TEST(RagBatch, RowsOfAnotherSeedShardOrSizeDie)
+{
+    // Rows that are not the corpus's own die at the first staging
+    // instead of answering from another corpus.
+    RagCorpusSpec spec{"rows", 0, 3000, 40, 1200, 4};
+    RagCorpusSpec other = spec;
+    other.firstChunk = 4200;
+    RagCorpusSpec shorter = spec;
+    shorter.numChunks = 2999;
+    const IndexFlatI16 seed2 = baseRows(spec, kPinSeed + 1);
+    const IndexFlatI16 shard2 = baseRows(other, kPinSeed);
+    const IndexFlatI16 size2 = baseRows(shorter, kPinSeed);
+    auto stage = [&](const IndexFlatI16 &rows) {
+        PinRig rig(spec, true);
+        RagBatchOptions o;
+        o.rows = &rows;
+        (void)rig.r.retrieveBatch(pinQueries(spec, 1), kPinSeed, o);
+    };
+    EXPECT_DEATH(stage(seed2), "rows of another seed or shard");
+    EXPECT_DEATH(stage(shard2), "rows of another seed or shard");
+    EXPECT_DEATH(stage(size2), "RagBatchOptions::rows holds 2999 rows");
+}
