@@ -144,9 +144,8 @@ bool
 functionalPhase(bool &exactly_once, uint64_t &kill_failovers)
 {
     RagCorpusSpec spec{"fleet-bench", 0, 2048, 368};
-    IndexFlatI16 golden(spec.dim);
-    auto emb = genEmbeddings(spec, 0, spec.numChunks, kSeed);
-    golden.add(emb.data(), spec.numChunks);
+    IndexFlatI16 golden(spec.dim,
+                        genEmbeddings(spec, 0, spec.numChunks, kSeed));
 
     const int n = 16;
     auto goldenHits = [&](int q) {

@@ -98,12 +98,8 @@ main()
     // coarse quantizer trains from its rows.
     std::printf("materializing the flat CPU golden (%.1f GB) ...\n",
                 spec.embeddingBytes() / 1e9);
-    IndexFlatI16 flat(spec.dim);
-    {
-        auto emb = genEmbeddings(spec, spec.firstChunk,
-                                 spec.numChunks, kSeed);
-        flat.add(emb.data(), spec.numChunks);
-    }
+    IndexFlatI16 flat(spec.dim, genEmbeddings(spec, spec.firstChunk,
+                                              spec.numChunks, kSeed));
 
     std::printf("training coarse quantizer (K=%zu) over %zu chunks "
                 "...\n",

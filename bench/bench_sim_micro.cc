@@ -516,9 +516,8 @@ runSimMicroReport()
         // golden, serving one query: staging plus one scan.
         apu::ApuDevice dev;
         const baseline::RagCorpusSpec spec{"shard", 0, 1024, 368};
-        baseline::IndexFlatI16 golden(spec.dim);
-        auto emb = baseline::genEmbeddings(spec, 0, spec.numChunks, 77);
-        golden.add(emb.data(), spec.numChunks);
+        baseline::IndexFlatI16 golden(
+            spec.dim, baseline::genEmbeddings(spec, 0, spec.numChunks, 77));
         t0 = std::chrono::steady_clock::now();
         kernels::DeviceServer server(dev, spec, 0, &golden, 77);
         cisram_assert(server.enqueueAt(1, baseline::genQuery(spec.dim, 1),

@@ -31,9 +31,8 @@ main()
                                      seed);
 
     // Reference: FAISS-lite exact search over the same embeddings.
-    auto emb = genEmbeddings(corpus, 0, corpus.numChunks, seed);
-    IndexFlatI16 index(corpus.dim);
-    index.add(emb.data(), corpus.numChunks);
+    IndexFlatI16 index(corpus.dim, genEmbeddings(corpus, 0,
+                                                 corpus.numChunks, seed));
     auto expect = index.search(query.data(), 5);
 
     std::printf("top-5 over %zu chunks (APU vs FAISS-lite):\n",

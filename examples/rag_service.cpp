@@ -172,9 +172,8 @@ selfCheck()
     const uint64_t seed = 2026;
 
     apu::ApuDevice dev;
-    auto emb = genEmbeddings(corpus, 0, corpus.numChunks, seed);
-    IndexFlatI16 index(corpus.dim);
-    index.add(emb.data(), corpus.numChunks);
+    IndexFlatI16 index(corpus.dim, genEmbeddings(corpus, 0,
+                                                 corpus.numChunks, seed));
 
     ServerConfig cfg = servingConfig();
     // Small batches keep the functional corpus pass cheap while
@@ -271,9 +270,8 @@ fleetDemo()
     RagCorpusSpec corpus{"fleet-demo", 0, 2048, 368};
     const uint64_t seed = 2026;
 
-    IndexFlatI16 index(corpus.dim);
-    auto emb = genEmbeddings(corpus, 0, corpus.numChunks, seed);
-    index.add(emb.data(), corpus.numChunks);
+    IndexFlatI16 index(corpus.dim, genEmbeddings(corpus, 0,
+                                                 corpus.numChunks, seed));
 
     fleet::FleetConfig cfg;
     cfg.devices = 4;

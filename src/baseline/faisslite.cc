@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -120,6 +121,15 @@ IndexFlat::search(const float *query, size_t k,
     for (auto &w : workers)
         w.join();
     return mergeHitHeaps(parts, k);
+}
+
+IndexFlatI16::IndexFlatI16(size_t dim, std::vector<int16_t> rows)
+    : dim_(dim), data(std::move(rows))
+{
+    cisram_assert(dim_ > 0 && data.size() % dim_ == 0, "IndexFlatI16: ",
+                  data.size(), " values are not whole ", dim_,
+                  "-wide rows");
+    count = data.size() / dim_;
 }
 
 void

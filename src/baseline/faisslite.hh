@@ -105,6 +105,13 @@ class IndexFlatI16
   public:
     explicit IndexFlatI16(size_t dim) : dim_(dim) {}
 
+    /**
+     * An index over `rows` (whole dim-wide rows, row-major), taken
+     * by move: rows generated straight into their index are written
+     * once and never copied.
+     */
+    IndexFlatI16(size_t dim, std::vector<int16_t> rows);
+
     size_t dim() const { return dim_; }
     size_t size() const { return count; }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <mutex>
+#include <type_traits>
 
 #include "common/logging.hh"
 
@@ -19,6 +20,9 @@ namespace {
 
 /** Shard redirect installed by ShardScope; see Registry::get(). */
 thread_local Registry *t_shard = nullptr;
+
+/** Source of Registry::serial(); 0 is never handed out. */
+std::atomic<uint64_t> g_nextSerial{1};
 
 } // namespace
 
@@ -117,11 +121,17 @@ Histogram::mergeFrom(const Histogram &o)
         buckets_[i] += o.buckets_[i];
 }
 
+Registry::Registry() : serial_(g_nextSerial.fetch_add(1)) {}
+
 Registry &
 Registry::global()
 {
-    static Registry instance;
-    initFromEnv();
+    // CISRAM_METRICS is read once, with the first use of the
+    // registry, not on every get().
+    static Registry instance = [] {
+        initFromEnv();
+        return Registry();
+    }();
     return instance;
 }
 
@@ -171,33 +181,41 @@ Registry::seriesKey(const std::string &name, const Labels &labels)
 
 template <typename T>
 T &
-Registry::series(std::map<std::string, std::unique_ptr<T>> &store,
-                 const std::string &name, const Labels &labels)
+Registry::byKey(const std::string &key)
 {
-    std::string key = seriesKey(name, labels);
-    auto it = store.find(key);
-    if (it == store.end())
-        it = store.emplace(std::move(key), std::make_unique<T>())
-                 .first;
+    std::map<std::string, std::unique_ptr<T>> *store;
+    if constexpr (std::is_same_v<T, Counter>)
+        store = &counters_;
+    else if constexpr (std::is_same_v<T, Gauge>)
+        store = &gauges_;
+    else
+        store = &histograms_;
+    auto it = store->find(key);
+    if (it == store->end())
+        it = store->emplace(key, std::make_unique<T>()).first;
     return *it->second;
 }
+
+template Counter &Registry::byKey<Counter>(const std::string &);
+template Gauge &Registry::byKey<Gauge>(const std::string &);
+template Histogram &Registry::byKey<Histogram>(const std::string &);
 
 Counter &
 Registry::counter(const std::string &name, const Labels &labels)
 {
-    return series(counters_, name, labels);
+    return byKey<Counter>(seriesKey(name, labels));
 }
 
 Gauge &
 Registry::gauge(const std::string &name, const Labels &labels)
 {
-    return series(gauges_, name, labels);
+    return byKey<Gauge>(seriesKey(name, labels));
 }
 
 Histogram &
 Registry::histogram(const std::string &name, const Labels &labels)
 {
-    return series(histograms_, name, labels);
+    return byKey<Histogram>(seriesKey(name, labels));
 }
 
 OpCounters &

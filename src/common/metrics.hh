@@ -8,12 +8,15 @@
  * runs; a whole run can then be serialized to JSON by the stats sink
  * (bench/bench_report) or inspected programmatically.
  *
- * Cost model: obtaining a series reference does a map lookup, so hot
- * paths hold the returned reference (or use opCounters(), which
- * caches by string-literal identity). Bumping a held series is a
- * single add. Per-charge instrumentation in the simulator is further
- * gated behind metrics::enabled() so a run that never opts in pays
- * only a relaxed atomic-bool test.
+ * Cost model: obtaining a series by name renders its key string and
+ * does a map lookup. Code that bumps a series per query, sub-query
+ * or batch holds a Series handle instead: it renders the key once
+ * and resolves the series once per registry, so a bump costs a
+ * registry-serial compare and a single add. The cycle-charging hot
+ * path uses opCounters(), which caches by string-literal identity.
+ * Per-charge instrumentation in the simulator is further gated
+ * behind metrics::enabled() so a run that never opts in pays only a
+ * relaxed atomic-bool test.
  *
  * Threading model: the registry itself is not locked. Instead, each
  * worker thread in the multi-core pool runs under a ShardScope — a
@@ -24,7 +27,8 @@
  * identical between serial and threaded runs, so snapshots are
  * bit-identical for any CISRAM_SIM_THREADS. Code that holds a series
  * reference across a shard boundary must re-resolve it per call
- * (references into a shard die with the shard).
+ * (references into a shard die with the shard); a Series handle does
+ * that by itself.
  */
 
 #ifndef CISRAM_COMMON_METRICS_HH
@@ -216,18 +220,70 @@ class Registry
     static std::string seriesKey(const std::string &name,
                                  const Labels &labels);
 
+    /**
+     * This instance's process-unique identity, drawn from a counter
+     * at construction. A shard freed after one runOnAllCores can be
+     * reallocated at the same address, so Series handles compare
+     * serials, never addresses.
+     */
+    uint64_t serial() const { return serial_; }
+
   private:
-    Registry() = default;
+    template <typename> friend class Series;
 
-    template <typename T>
-    T &series(std::map<std::string, std::unique_ptr<T>> &store,
-              const std::string &name, const Labels &labels);
+    Registry();
 
+    /**
+     * The one lookup body behind counter(), gauge(), histogram() and
+     * Series: the T-kind series stored under the rendered `key`,
+     * created on first use. Instantiated in metrics.cc for Counter,
+     * Gauge and Histogram.
+     */
+    template <typename T> T &byKey(const std::string &key);
+
+    const uint64_t serial_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
     std::unordered_map<const void *, std::unique_ptr<OpCounters>>
         opCache_;
+};
+
+/**
+ * A handle on one counter or histogram series, for code that bumps
+ * the same series per query, sub-query or batch. The key is rendered
+ * once, at construction. get() looks the series up in the calling
+ * thread's Registry::get() and caches it with that registry's
+ * serial, so it resolves again only when the caller runs under
+ * another registry (a ShardScope, or a new shard at a freed one's
+ * address). Constructing a handle creates no series; the first get()
+ * does, exactly as counter() or histogram() would. Not thread-safe:
+ * a handle belongs to one owner, like the rest of its state.
+ */
+template <typename T>
+class Series
+{
+  public:
+    explicit Series(const std::string &name, const Labels &labels = {})
+        : key_(Registry::seriesKey(name, labels))
+    {
+    }
+
+    /** The series in the calling thread's registry. */
+    T &get() const
+    {
+        Registry &reg = Registry::get();
+        if (reg.serial() != serial_) {
+            series_ = &reg.byKey<T>(key_);
+            serial_ = reg.serial();
+        }
+        return *series_;
+    }
+
+  private:
+    std::string key_;
+    mutable uint64_t serial_ = 0; ///< 0: never resolved
+    mutable T *series_ = nullptr;
 };
 
 /**

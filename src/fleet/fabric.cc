@@ -15,6 +15,11 @@ Fabric::Fabric(unsigned devices)
 {
     cisram_assert(devices > 0, "fabric needs at least one link");
     fault::initFromEnv();
+    messages_.reserve(devices);
+    for (unsigned d = 0; d < devices; ++d)
+        messages_.emplace_back(
+            "fleet.link.messages",
+            metrics::Labels{{"device", std::to_string(d)}});
 }
 
 bool
@@ -54,10 +59,11 @@ Fabric::transfer(unsigned device, uint64_t bytes)
     cisram_assert(device < devices(), "fabric link index OOB");
     LinkStats &ls = links_[device];
     ++ls.messages;
+    messages_[device].get().inc();
+    // The fault paths below label their series by device; a clean
+    // transfer builds no string.
     auto &reg = metrics::Registry::get();
-    const std::string dev_label = std::to_string(device);
-    reg.counter("fleet.link.messages", {{"device", dev_label}})
-        .inc();
+    auto dev_label = [device] { return std::to_string(device); };
 
     const fault::FaultPlan *fp = fault::plan();
     uint64_t msg = msgSerial_[device]++;
@@ -84,7 +90,7 @@ Fabric::transfer(unsigned device, uint64_t bytes)
             charged += kDropTimeoutSeconds;
             ls.busySeconds += kDropTimeoutSeconds;
             reg.counter("fleet.link.faults",
-                        {{"device", dev_label},
+                        {{"device", dev_label()},
                          {"kind", "link_drop"}})
                 .inc();
             continue;
@@ -109,20 +115,20 @@ Fabric::transfer(unsigned device, uint64_t bytes)
             ++ls.corrupts;
             last_was_drop = false;
             reg.counter("fleet.link.faults",
-                        {{"device", dev_label},
+                        {{"device", dev_label()},
                          {"kind", "link_corrupt"}})
                 .inc();
             continue;
         }
         if (attempt > 0)
             reg.counter("fleet.link.retries",
-                        {{"device", dev_label}})
+                        {{"device", dev_label()}})
                 .inc(static_cast<double>(attempt));
         return charged;
     }
 
     ++ls.failures;
-    reg.counter("fleet.link.exhausted", {{"device", dev_label}})
+    reg.counter("fleet.link.exhausted", {{"device", dev_label()}})
         .inc();
     // Report the failure mode of the final attempt: a drop-dominated
     // exhaustion reads as an unreachable device, a CRC-dominated one

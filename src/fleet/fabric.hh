@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/metrics.hh"
 #include "common/status.hh"
 
 namespace cisram::fleet {
@@ -114,6 +115,8 @@ class Fabric
     std::vector<uint8_t> wedgedDrop_;    ///< sticky link_drop latch
     std::vector<uint8_t> wedgedCorrupt_; ///< sticky link_corrupt
     std::vector<uint8_t> severed_;       ///< kill-switch cut
+    /** fleet.link.messages{device=d}, bumped by every transfer. */
+    std::vector<metrics::Series<metrics::Counter>> messages_;
 };
 
 } // namespace cisram::fleet

@@ -32,6 +32,13 @@ devLabel(unsigned device)
     return std::to_string(device);
 }
 
+metrics::Labels
+classLabels(const kernels::AdmitClass &cls)
+{
+    return {{"tenant", cls.tenant},
+            {"slo_class", std::to_string(cls.sloClass)}};
+}
+
 } // namespace
 
 Status
@@ -92,9 +99,14 @@ Router::Router(const baseline::RagCorpusSpec &corpus,
     }
 
     routerBreakers_.reserve(cfg_.devices);
-    for (unsigned d = 0; d < cfg_.devices; ++d)
+    deviceServed_.reserve(cfg_.devices);
+    for (unsigned d = 0; d < cfg_.devices; ++d) {
         routerBreakers_.emplace_back(cfg_.server.breakerThreshold,
                                      cfg_.server.breakerCooldown);
+        deviceServed_.emplace_back(
+            "fleet.device_served_seconds",
+            metrics::Labels{{"device", devLabel(d)}});
+    }
 
     // Each shard's spec, and the state its replicas share read-only:
     // in functional fleets one exact index, the only place the
@@ -111,14 +123,11 @@ Router::Router(const baseline::RagCorpusSpec &corpus,
         spec.numChunks = range.numChunks;
         spec.firstChunk = range.firstChunk;
         specs.push_back(spec);
-        if (cfg_.functional) {
-            auto golden =
-                std::make_unique<baseline::IndexFlatI16>(corpus_.dim);
-            std::vector<int16_t> emb = baseline::genEmbeddings(
-                spec, spec.firstChunk, spec.numChunks, corpusSeed_);
-            golden->add(emb.data(), spec.numChunks);
-            goldens_.push_back(std::move(golden));
-        }
+        if (cfg_.functional)
+            goldens_.push_back(std::make_unique<baseline::IndexFlatI16>(
+                corpus_.dim,
+                baseline::genEmbeddings(spec, spec.firstChunk,
+                                        spec.numChunks, corpusSeed_)));
         if (cfg_.server.ivf.enabled)
             clusterings_.push_back(
                 std::make_unique<baseline::IvfClustering>(
@@ -203,7 +212,7 @@ Router::dispatchShard(QueryState &qs, unsigned shard,
 {
     SubState &sub = qs.subs[shard];
     const std::vector<unsigned> &prio = placement_[shard];
-    std::string last_err = "no replica admitted it";
+    std::string last_err; // set by each refusal
 
     while (sub.nextReplica < prio.size()) {
         unsigned d = prio[sub.nextReplica++];
@@ -265,17 +274,15 @@ Router::dispatchShard(QueryState &qs, unsigned shard,
         }
 
         routerBreakers_[d].recordSuccess();
-        metrics::Registry::get()
-            .counter("fleet.scatter.subqueries",
-                     {{"tenant", qs.cls.tenant},
-                      {"slo_class", std::to_string(qs.cls.sloClass)}})
-            .inc();
+        qs.series->subqueries.get().inc();
         sub.device = d;
         sub.arrivalSeconds = arrival;
         sub.sendSeconds = *tr;
         return Status::okStatus();
     }
 
+    if (last_err.empty())
+        last_err = "no replica admitted it";
     return Status::resourceExhausted(detail::concat(
         "fleet: shard ", shard, " unroutable for query #", qs.id,
         ": ", last_err));
@@ -331,6 +338,7 @@ Router::admit(uint64_t id, std::vector<int16_t> query,
     qs.query = std::move(query);
     qs.search = search;
     qs.cls = std::move(cls);
+    qs.series = &classSeries(qs.cls);
     qs.epoch = epoch_;
     qs.admitSeconds = arrival_seconds;
     qs.subs.resize(shards_);
@@ -348,6 +356,21 @@ Router::admit(uint64_t id, std::vector<int16_t> query,
         }
     }
     return first_err;
+}
+
+Router::ClassSeries::ClassSeries(const kernels::AdmitClass &cls)
+    : subqueries("fleet.scatter.subqueries", classLabels(cls)),
+      served("fleet.class_served_seconds", classLabels(cls)),
+      candidates("fleet.merge.candidates", classLabels(cls))
+{
+}
+
+const Router::ClassSeries &
+Router::classSeries(const kernels::AdmitClass &cls)
+{
+    return classSeries_
+        .try_emplace({cls.tenant, cls.sloClass}, cls)
+        .first->second;
 }
 
 void
@@ -381,7 +404,6 @@ void
 Router::collect(unsigned device,
                 std::vector<kernels::ServeOutcome> outs)
 {
-    auto &reg = metrics::Registry::get();
     for (kernels::ServeOutcome &out : outs) {
         uint64_t qid = out.id & 0xffffffffull;
         unsigned shard =
@@ -425,9 +447,7 @@ Router::collect(unsigned device,
         sub.returnSeconds = *rt;
         sub.pathSeconds = sub.sendSeconds + served + *rt;
 
-        reg.histogram("fleet.device_served_seconds",
-                      {{"device", devLabel(device)}})
-            .observe(served);
+        deviceServed_[device].get().observe(served);
 
         if (cfg_.functional) {
             ShardServer *ss = replicaOn(device, shard);
@@ -509,15 +529,19 @@ Router::finishQuery(QueryState &qs)
     // Flight ledger: one round, reconciling bit-exactly as
     // (wait + gather) + (failover + merge) — the same float-add
     // order QueryFlight::reconciledSeconds() re-performs.
+    // The per-shard labels are formatted only when the recorder keeps
+    // them.
     flight_.beginRound(qs.id, qs.admitSeconds);
-    for (unsigned s = 0; s < shards_; ++s) {
-        const SubState &sub = qs.subs[s];
-        flight_.span(qs.id, obs::Stage::ShardPath, sub.failovers,
-                     qs.admitSeconds, sub.pathSeconds,
-                     sub.unroutable
-                         ? detail::concat("shard", s, " unroutable")
-                         : detail::concat("shard", s, "@dev",
-                                          sub.device));
+    if (flight_.enabled()) {
+        for (unsigned s = 0; s < shards_; ++s) {
+            const SubState &sub = qs.subs[s];
+            flight_.span(qs.id, obs::Stage::ShardPath, sub.failovers,
+                         qs.admitSeconds, sub.pathSeconds,
+                         sub.unroutable
+                             ? detail::concat("shard", s, " unroutable")
+                             : detail::concat("shard", s, "@dev",
+                                              sub.device));
+        }
     }
     flight_.span(qs.id, obs::Stage::ShardGather, 0,
                  qs.admitSeconds, gather);
@@ -535,22 +559,15 @@ Router::finishQuery(QueryState &qs)
     fc.ok = out.ok;
     flight_.complete(qs.id, fc);
 
-    auto &reg = metrics::Registry::get();
-    reg.histogram("fleet.served_seconds").observe(latency);
+    served_.get().observe(latency);
     // Per-class rollup alongside the unlabeled fleet series (which
     // older baselines gate on): the SLO story needs latency broken
     // out by who bought which class.
-    reg.histogram("fleet.class_served_seconds",
-                  {{"tenant", qs.cls.tenant},
-                   {"slo_class", std::to_string(qs.cls.sloClass)}})
-        .observe(latency);
+    qs.series->served.get().observe(latency);
     // Merge work is modeled as shards x topK candidate inserts —
     // count exactly what the merge charge above is billed for.
-    reg.counter("fleet.merge.candidates",
-                {{"tenant", qs.cls.tenant},
-                 {"slo_class", std::to_string(qs.cls.sloClass)}})
-        .inc(static_cast<double>(shards_) *
-             static_cast<double>(cfg_.topK));
+    qs.series->candidates.get().inc(static_cast<double>(shards_) *
+                                    static_cast<double>(cfg_.topK));
 
     auto tf = tenantInFlight_.find(qs.cls.tenant);
     if (tf != tenantInFlight_.end() && tf->second > 0)
@@ -770,12 +787,9 @@ Router::fabricBusySeconds() const
 metrics::Histogram
 Router::mergedDeviceLatency() const
 {
-    auto &reg = metrics::Registry::get();
     metrics::Histogram merged;
-    for (unsigned d = 0; d < devices(); ++d)
-        merged.merge(
-            reg.histogram("fleet.device_served_seconds",
-                          {{"device", devLabel(d)}}));
+    for (const auto &series : deviceServed_)
+        merged.merge(series.get());
     return merged;
 }
 

@@ -46,9 +46,11 @@
 #define CISRAM_FLEET_FLEET_HH
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "apusim/apu.hh"
@@ -364,12 +366,22 @@ class Router
         std::vector<baseline::Hit> hits; ///< globalized ids
     };
 
+    /** The per-(tenant, slo_class) series a query bumps. */
+    struct ClassSeries
+    {
+        explicit ClassSeries(const kernels::AdmitClass &cls);
+        metrics::Series<metrics::Counter> subqueries; ///< per dispatch
+        metrics::Series<metrics::Histogram> served;   ///< per query
+        metrics::Series<metrics::Counter> candidates; ///< per merge
+    };
+
     struct QueryState
     {
         uint64_t id = 0;
         std::vector<int16_t> query;
         kernels::RagSearchParams search;
         kernels::AdmitClass cls;
+        const ClassSeries *series = nullptr; ///< cls's, set at admit
         uint64_t epoch = 0; ///< corpus epoch pinned at admission
         double admitSeconds = 0;
         std::vector<SubState> subs;
@@ -423,6 +435,9 @@ class Router
     /** Evacuate + re-route a dead device's in-flight queries. */
     void evacuateDevice(unsigned device);
 
+    /** `cls`'s series, keyed once per (tenant, slo_class). */
+    const ClassSeries &classSeries(const kernels::AdmitClass &cls);
+
     baseline::RagCorpusSpec corpus_;
     uint64_t corpusSeed_;
     FleetConfig cfg_;
@@ -448,6 +463,14 @@ class Router
     uint64_t evacuated_ = 0;
     uint64_t epoch_ = 0; ///< epoch new admissions pin to
     std::unordered_map<std::string, uint64_t> tenantInFlight_;
+
+    // Series bumped per sub-query or per query: device d's served
+    // latency, the fleet latency, and each class's series (map nodes
+    // are stable, so QueryState points at them).
+    std::vector<metrics::Series<metrics::Histogram>> deviceServed_;
+    metrics::Series<metrics::Histogram> served_{"fleet.served_seconds"};
+    std::map<std::pair<std::string, unsigned>, ClassSeries>
+        classSeries_;
 };
 
 } // namespace cisram::fleet

@@ -525,15 +525,14 @@ DeviceServer::serveBatch(std::vector<PendingQuery> batch,
         return {};
     }
 
-    reg.histogram("serving.batch_size")
-        .observe(static_cast<double>(b));
+    batchSizes_.get().observe(static_cast<double>(b));
+    metrics::Histogram &queue_waits = queueWaits_.get();
     for (size_t q = 0; q < b; ++q) {
         outs[q].id = batch[q].id;
         outs[q].batchSize = b;
         outs[q].cls = batch[q].cls;
         outs[q].queueWaitSeconds = start - batch[q].admitSeconds;
-        reg.histogram("serving.queue_wait_seconds")
-            .observe(outs[q].queueWaitSeconds);
+        queue_waits.observe(outs[q].queueWaitSeconds);
     }
     bool record = flight_.enabled();
     if (record) {
@@ -716,10 +715,10 @@ DeviceServer::serveBatch(std::vector<PendingQuery> batch,
                                  o.servedSeconds()});
     health_.observeQueries(static_cast<unsigned>(b));
 
-    reg.counter("serving.batches").inc();
+    batches_.get().inc();
+    metrics::Histogram &served = served_.get();
     for (const auto &o : outs)
-        reg.histogram("serving.served_seconds")
-            .observe(o.servedSeconds());
+        served.observe(o.servedSeconds());
     return outs;
 }
 

@@ -59,6 +59,7 @@
 #include "baseline/faisslite.hh"
 #include "baseline/timing_models.hh"
 #include "baseline/workloads.hh"
+#include "common/metrics.hh"
 #include "dramsim/dram_sim.hh"
 #include "gdl/gdl.hh"
 #include "kernels/rag.hh"
@@ -670,6 +671,13 @@ class DeviceServer
     unsigned resets_ = 0;
     uint64_t replayed_ = 0;
     uint64_t epoch_ = 0; ///< corpus epoch currently staged
+
+    // The series every served batch bumps.
+    metrics::Series<metrics::Histogram> batchSizes_{"serving.batch_size"};
+    metrics::Series<metrics::Histogram> queueWaits_{
+        "serving.queue_wait_seconds"};
+    metrics::Series<metrics::Counter> batches_{"serving.batches"};
+    metrics::Series<metrics::Histogram> served_{"serving.served_seconds"};
 };
 
 } // namespace cisram::kernels

@@ -737,6 +737,24 @@ TEST(Router, UnroutableShardCompletesItsFlightExactlyOnce)
                 unroutable +=
                     sp.detail.find("unroutable") != std::string::npos;
             EXPECT_EQ(unroutable > 0, !o.ok) << "query #" << o.id;
+
+            // One path span per shard, in shard order; a routed one
+            // names the device that served it, the shard's only
+            // replica (R = 1).
+            unsigned s = 0;
+            for (const obs::Span &sp : qf->finalRound()->spans) {
+                if (sp.stage != obs::Stage::ShardPath)
+                    continue;
+                if (sp.detail.find("unroutable") == std::string::npos) {
+                    EXPECT_EQ(sp.detail,
+                              "shard" + std::to_string(s) + "@dev" +
+                                  std::to_string(
+                                      router.placement()[s][0]))
+                        << "query #" << o.id;
+                }
+                ++s;
+            }
+            EXPECT_EQ(s, router.shards()) << "query #" << o.id;
         }
     }
 }

@@ -52,11 +52,9 @@ clusteredSpec(const char *label, size_t chunks, size_t topics)
 IndexFlatI16
 buildFlat(const RagCorpusSpec &spec, uint64_t seed)
 {
-    IndexFlatI16 idx(spec.dim);
-    auto emb =
-        genEmbeddings(spec, spec.firstChunk, spec.numChunks, seed);
-    idx.add(emb.data(), spec.numChunks);
-    return idx;
+    return IndexFlatI16(
+        spec.dim,
+        genEmbeddings(spec, spec.firstChunk, spec.numChunks, seed));
 }
 
 void

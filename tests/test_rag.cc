@@ -36,9 +36,8 @@ std::vector<Hit>
 referenceTopK(const RagCorpusSpec &spec, uint64_t seed,
               const std::vector<int16_t> &query, size_t k)
 {
-    auto emb = genEmbeddings(spec, 0, spec.numChunks, seed);
-    IndexFlatI16 idx(spec.dim);
-    idx.add(emb.data(), spec.numChunks);
+    IndexFlatI16 idx(spec.dim,
+                     genEmbeddings(spec, 0, spec.numChunks, seed));
     return idx.search(query.data(), k);
 }
 
@@ -1078,10 +1077,8 @@ IndexFlatI16
 baseRows(const RagCorpusSpec &spec, uint64_t seed)
 {
     size_t n = spec.epochView ? spec.epochView->baseChunks : spec.numChunks;
-    IndexFlatI16 flat(spec.dim);
-    auto emb = genEmbeddings(spec, spec.firstChunk, n, seed);
-    flat.add(emb.data(), n);
-    return flat;
+    return IndexFlatI16(spec.dim,
+                        genEmbeddings(spec, spec.firstChunk, n, seed));
 }
 
 } // namespace

@@ -243,6 +243,73 @@ TEST(Metrics, JsonSnapshot)
     EXPECT_DOUBLE_EQ(gauges.find("test.level")->asNumber(), 0.5);
 }
 
+TEST(Metrics, SeriesHandleFollowsTheCallersRegistry)
+{
+    const metrics::Labels labels{{"k", "handle"}};
+    metrics::Series<metrics::Counter> c("test.handle", labels);
+    metrics::Series<metrics::Histogram> h("test.handle_hist");
+    auto &global = metrics::Registry::global();
+    auto listed = [](const metrics::Registry &reg,
+                     const std::string &key) {
+        auto doc = json::parseOrDie(reg.toJson().dump());
+        const auto &root = doc.asObject();
+        return root.find("counters")->asObject().find(key) !=
+            nullptr ||
+            root.find("histograms")->asObject().find(key) != nullptr;
+    };
+
+    // A handle creates no series before its first bump.
+    EXPECT_FALSE(listed(global, "test.handle{k=handle}"));
+    EXPECT_FALSE(listed(global, "test.handle_hist"));
+
+    // Global, then a shard while its scope is installed, then global
+    // again: each bump lands in the caller's registry.
+    c.get().inc(1);
+    h.get().observe(2.0);
+    EXPECT_EQ(&c.get(), &global.counter("test.handle", labels));
+    {
+        auto shard = metrics::Registry::makeShard();
+        metrics::ShardScope scope(shard.get());
+        c.get().inc(10);
+        h.get().observe(4.0);
+        EXPECT_DOUBLE_EQ(shard->counter("test.handle", labels).value(),
+                         10.0);
+        EXPECT_EQ(shard->histogram("test.handle_hist").count(), 1u);
+    }
+    c.get().inc(100);
+    EXPECT_DOUBLE_EQ(global.counter("test.handle", labels).value(),
+                     101.0);
+    EXPECT_EQ(global.histogram("test.handle_hist").count(), 1u);
+
+    // A shard made after another is destroyed may take its address
+    // (the allocator decides); it still gets its own series, never
+    // the freed shard's.
+    uint64_t first_serial = 0;
+    {
+        auto first = metrics::Registry::makeShard();
+        first_serial = first->serial();
+        metrics::ShardScope scope(first.get());
+        c.get().inc(1000);
+    }
+    {
+        auto second = metrics::Registry::makeShard();
+        EXPECT_NE(second->serial(), first_serial);
+        metrics::ShardScope scope(second.get());
+        c.get().inc(7);
+        EXPECT_DOUBLE_EQ(
+            second->counter("test.handle", labels).value(), 7.0);
+    }
+
+    // zeroAll() keeps every series, so the cached one stays valid.
+    global.zeroAll();
+    EXPECT_DOUBLE_EQ(c.get().value(), 0.0);
+    c.get().inc(3);
+    EXPECT_DOUBLE_EQ(global.counter("test.handle", labels).value(),
+                     3.0);
+    EXPECT_TRUE(listed(global, "test.handle{k=handle}"));
+    EXPECT_TRUE(listed(global, "test.handle_hist"));
+}
+
 TEST(Metrics, PerOpCountersViaCharge)
 {
     metrics::setEnabled(true);
