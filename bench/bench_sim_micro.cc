@@ -94,13 +94,14 @@ BM_GvmlSubgroupReduce(benchmark::State &state)
 {
     apu::ApuDevice dev;
     Gvml g(dev.core(0));
+    fillOperands(g);
     size_t grp = static_cast<size_t>(state.range(0));
     for (auto _ : state)
         g.addSubgrpS16(Vr(0), Vr(1), grp, 1);
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(g.length()));
 }
-BENCHMARK(BM_GvmlSubgroupReduce)->Arg(64)->Arg(1024)->Arg(32768);
+BENCHMARK(BM_GvmlSubgroupReduce)->Arg(64)->Arg(512)->Arg(1024)->Arg(32768);
 
 void
 BM_BitonicSort(benchmark::State &state)
@@ -486,6 +487,20 @@ runSimMicroReport()
             report.scalar("rag_mapping_host_wall_seconds." + key,
                           elapsedSeconds(t0));
         }
+    }
+
+    // Host time of one warm subgroup reduction as the spatial
+    // mappings issue it per tile (grp 512, subgroup 1, in place) on a
+    // filled 32 768-lane VR (informational: varies by machine).
+    {
+        apu::ApuDevice dev;
+        Gvml g(dev.core(0));
+        fillOperands(g);
+        g.addSubgrpS16(Vr(1), Vr(1), 512, 1);
+        auto t0 = std::chrono::steady_clock::now();
+        g.addSubgrpS16(Vr(1), Vr(1), 512, 1);
+        report.scalar("subgroup_reduce_host_wall_seconds",
+                      elapsedSeconds(t0));
     }
 
     // Host time of serving set-up (informational: varies by

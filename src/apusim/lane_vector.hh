@@ -15,7 +15,9 @@
  *  - An op over several inputs works on h = the largest extent among
  *    them (widen() each to h), and its destination's extent becomes
  *    (h, op applied to the tails). A masked op also counts its
- *    destination's and its mark's extents.
+ *    destination's and its mark's extents. A binary element-wise op
+ *    with exactly one uniform input (hi() == 0) reads that input's
+ *    tail as a scalar over the other's head and does not widen it.
  *  - Any other access goes through full(), which materializes: it
  *    fills [hi, L) with the tail and sets hi = L, so ops that are not
  *    extent-aware see exactly the full-width vector.

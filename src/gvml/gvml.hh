@@ -209,7 +209,9 @@ class Gvml
      * which past each group's first `subgrp` lanes is a partial sum
      * running into the next group. dst may be src. Cost follows the
      * staged shift-and-add decomposition the device performs
-     * (modeled by Eq. 1).
+     * (modeled by Eq. 1), charged stage by stage; the lanes come
+     * from two in-place passes over dst's storage instead, strided
+     * suffix sums S and then S[i] - S[i + grp] (DESIGN.md section 4).
      */
     void addSubgrpS16(Vr dst, Vr src, size_t grp, size_t subgrp);
 

@@ -37,7 +37,7 @@ asU16(int32_t v)
 } // namespace
 
 // The lane loops run over the inputs' common extent and apply the op
-// to the tails once (apusim/lane_vector.hh). The tail is computed
+// to the tails once (apusim/lane_vector.hh). The tails are read
 // before the loop, as `dst` may alias an input.
 
 template <typename Fn>
@@ -49,14 +49,28 @@ Gvml::ewise2(Vr dst, Vr a, Vr b, uint64_t cycles, Fn fn)
         return;
     apu::VrFile &vrs = core_.vr();
     const apu::LaneVector &x = vrs.lanes(a.idx), &y = vrs.lanes(b.idx);
-    size_t h = apu::widenAll(x, y);
-    uint16_t tail = fn(x.tail(), y.tail());
+    const uint16_t xt = x.tail(), yt = y.tail();
     apu::LaneVector &d = vrs.lanes(dst.idx);
     uint16_t *out = d.head();
     const uint16_t *xs = x.head(), *ys = y.head();
-    for (size_t i = 0; i < h; ++i)
-        out[i] = fn(xs[i], ys[i]);
-    d.setExtent(h, tail);
+    // A uniform operand (an empty head) against a stored one is read
+    // as its tail value: the other head alone sets the extent, and
+    // the uniform operand is never widened.
+    size_t h;
+    if (x.hi() == 0 && y.hi() != 0) {
+        h = y.hi();
+        for (size_t i = 0; i < h; ++i)
+            out[i] = fn(xt, ys[i]);
+    } else if (y.hi() == 0 && x.hi() != 0) {
+        h = x.hi();
+        for (size_t i = 0; i < h; ++i)
+            out[i] = fn(xs[i], yt);
+    } else {
+        h = apu::widenAll(x, y);
+        for (size_t i = 0; i < h; ++i)
+            out[i] = fn(xs[i], ys[i]);
+    }
+    d.setExtent(h, fn(xt, yt));
 }
 
 template <typename Fn>

@@ -6,10 +6,120 @@
 
 #include "gvml/gvml.hh"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/bitutils.hh"
 #include "common/trace.hh"
 
 namespace cisram::gvml {
+
+namespace {
+
+/** Eight u16 lanes in one SSE2 register (a GCC/Clang vector extension). */
+using Lanes8 = uint16_t __attribute__((vector_size(16)));
+
+Lanes8
+load8(const uint16_t *p)
+{
+    Lanes8 v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+void
+store8(uint16_t *p, Lanes8 v)
+{
+    std::memcpy(p, &v, sizeof v);
+}
+
+/** Lane k holds v's lane k + kBy, or 0 where that is past lane 7. */
+template <unsigned kBy>
+Lanes8
+down(Lanes8 v)
+{
+    return __builtin_shufflevector(v, Lanes8{}, kBy, kBy + 1, kBy + 2,
+                                   kBy + 3, kBy + 4, kBy + 5, kBy + 6,
+                                   kBy + 7);
+}
+
+/** v's lanes [0, kStride) repeated over all eight. */
+template <unsigned kStride>
+Lanes8
+repeat(Lanes8 v)
+{
+    return __builtin_shufflevector(v, v, 0 % kStride, 1 % kStride,
+                                   2 % kStride, 3 % kStride, 4 % kStride,
+                                   5 % kStride, 6 % kStride, 7 % kStride);
+}
+
+/**
+ * Strided suffix sums in place, descending one 8-lane block at a
+ * time: w[j] becomes S[j] = w[j] + S[j + s], or w[j] where j + s >= n
+ * (n a multiple of 8 and of s). kStride is s when s <= 8: a block
+ * sums its own chains in log2(8 / s) in-register shifts, and chain k
+ * continues at lane k % s of the block above, whose sums are carried
+ * in a register. kStride 0 serves every wider stride: a block's
+ * chains continue s lanes up, in a block already stored.
+ */
+template <unsigned kStride>
+void
+suffixSums(uint16_t *w, size_t n, size_t s)
+{
+    Lanes8 carry{};
+    for (size_t b = n; b != 0;) {
+        b -= 8;
+        Lanes8 v = load8(w + b);
+        if constexpr (kStride != 0) {
+            if constexpr (kStride < 8)
+                v += down<kStride>(v);
+            if constexpr (2 * kStride < 8)
+                v += down<2 * kStride>(v);
+            if constexpr (4 * kStride < 8)
+                v += down<4 * kStride>(v);
+            v += carry;
+            carry = repeat<kStride>(v);
+        } else if (b + s < n) {
+            v += load8(w + b + s);
+        }
+        store8(w + b, v);
+    }
+}
+
+/**
+ * Every lane i of w[0, n) becomes the sum of w[i + m * s] over
+ * m < grp / s with i + m * s < n, in two in-place passes: the strided
+ * suffix sums S, then, ascending, w[i] = S[i] - S[i + grp] wherever
+ * i + grp < n. The terms from i + grp on cancel exactly (u16
+ * arithmetic wraps), and lane i + grp is read before the ascending
+ * pass rewrites it. A vector shorter than a block runs as one
+ * zero-padded block: zeros past n add nothing to any S.
+ */
+void
+subgroupSums(uint16_t *w, size_t n, size_t grp, size_t s)
+{
+    if (n < 8) {
+        uint16_t block[8] = {};
+        std::copy_n(w, n, block);
+        subgroupSums(block, 8, grp, s);
+        std::copy_n(block, n, w);
+        return;
+    }
+    switch (s) {
+    case 1: suffixSums<1>(w, n, s); break;
+    case 2: suffixSums<2>(w, n, s); break;
+    case 4: suffixSums<4>(w, n, s); break;
+    case 8: suffixSums<8>(w, n, s); break;
+    default: suffixSums<0>(w, n, s); break;
+    }
+    size_t e = n - grp, i = 0;
+    for (; i + 8 <= e; i += 8)
+        store8(w + i, load8(w + i) - load8(w + i + grp));
+    for (; i < e; ++i)
+        w[i] = static_cast<uint16_t>(w[i] - w[i + grp]);
+}
+
+} // namespace
 
 void
 Gvml::addSubgrpS16(Vr dst, Vr src, size_t grp, size_t subgrp)
@@ -34,19 +144,6 @@ Gvml::addSubgrpS16(Vr dst, Vr src, size_t grp, size_t subgrp)
     // analytical framework's Eq. 1 models and fits.
     const auto &cp = core_.timing().compute;
     const auto &ct = core_.timing().control;
-
-    // Functionally every stage runs in place in dst's materialized
-    // storage, which first takes src's value (nothing to copy when dst
-    // is src). Lane i reads lane i + step before the pass writes that
-    // lane, so each pass is exact in place, with no temporary.
-    uint16_t *w = nullptr;
-    size_t n = length();
-    if (core_.functional()) {
-        apu::LaneVector &d = core_.vr().lanes(dst.idx);
-        d.assign(core_.vr().lanes(src.idx));
-        w = d.full().data();
-    }
-
     uint64_t ls = log2Floor(subgrp == 0 ? 1 : subgrp);
     for (size_t step = grp / 2; step >= subgrp; step /= 2) {
         uint64_t u = log2Floor(step == 0 ? 1 : step) + 1;
@@ -55,10 +152,15 @@ Gvml::addSubgrpS16(Vr dst, Vr src, size_t grp, size_t subgrp)
         core_.chargeVectorOp(stage_cost);
         core_.chargeVectorOp(cp.addS16);
         core_.chargeRaw(ct.vcuDecode); // mask re-arm between the pair
+    }
 
-        if (w)
-            for (size_t i = 0; i + step < n; ++i)
-                w[i] = static_cast<uint16_t>(w[i] + w[i + step]);
+    // Functionally the stages telescope: their lanes are those of two
+    // passes over dst's materialized storage, which first takes src's
+    // value (nothing to copy when dst is src).
+    if (core_.functional()) {
+        apu::LaneVector &d = core_.vr().lanes(dst.idx);
+        d.assign(core_.vr().lanes(src.idx));
+        subgroupSums(d.full().data(), length(), grp, subgrp);
     }
 }
 

@@ -6,6 +6,7 @@
  * paper's Table 5.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <ostream>
@@ -233,6 +234,43 @@ subgroupBroadcast(const std::vector<uint16_t> &src, size_t grp,
 
 /** Head extents the every-lane subgroup tests start their source at. */
 constexpr size_t kSrcHis[] = {32768, 1000, 0};
+
+/**
+ * {cycles, uops} add_subgrp_s16 charges per shape on the default
+ * timing, as the staged shift-and-add implementation charged them:
+ * row log2(grp) - 1, entry log2(subgrp), for every subgrp < grp <=
+ * 32 768.
+ */
+const std::vector<std::vector<std::pair<uint64_t, uint64_t>>>
+    kReduceCharges = {
+    {{133, 2}},
+    {{270, 4}, {139, 2}},
+    {{411, 6}, {282, 4}, {149, 2}},
+    {{556, 8}, {429, 6}, {302, 4}, {163, 2}},
+    {{705, 10}, {580, 8}, {459, 6}, {330, 4}, {181, 2}},
+    {{858, 12}, {735, 10}, {620, 8}, {501, 6}, {366, 4}, {203, 2}},
+    {{1015, 14}, {894, 12}, {785, 10}, {676, 8}, {555, 6}, {410, 4},
+     {229, 2}},
+    {{1176, 16}, {1057, 14}, {954, 12}, {855, 10}, {748, 8}, {621, 6},
+     {462, 4}, {259, 2}},
+    {{1341, 18}, {1224, 16}, {1127, 14}, {1038, 12}, {945, 10}, {836, 8},
+     {699, 6}, {522, 4}, {293, 2}},
+    {{1510, 20}, {1395, 18}, {1304, 16}, {1225, 14}, {1146, 12}, {1055, 10},
+     {940, 8}, {789, 6}, {590, 4}, {331, 2}},
+    {{1683, 22}, {1570, 20}, {1485, 18}, {1416, 16}, {1351, 14}, {1278, 12},
+     {1185, 10}, {1060, 8}, {891, 6}, {666, 4}, {373, 2}},
+    {{1860, 24}, {1749, 22}, {1670, 20}, {1611, 18}, {1560, 16}, {1505, 14},
+     {1434, 12}, {1335, 10}, {1196, 8}, {1005, 6}, {750, 4}, {419, 2}},
+    {{2041, 26}, {1932, 24}, {1859, 22}, {1810, 20}, {1773, 18}, {1736, 16},
+     {1687, 14}, {1614, 12}, {1505, 10}, {1348, 8}, {1131, 6}, {842, 4},
+     {469, 2}},
+    {{2226, 28}, {2119, 26}, {2052, 24}, {2013, 22}, {1990, 20}, {1971, 18},
+     {1944, 16}, {1897, 14}, {1818, 12}, {1695, 10}, {1516, 8}, {1269, 6},
+     {942, 4}, {523, 2}},
+    {{2415, 30}, {2310, 28}, {2249, 26}, {2220, 24}, {2211, 22}, {2210, 20},
+     {2205, 18}, {2184, 16}, {2135, 14}, {2046, 12}, {1905, 10}, {1700, 8},
+     {1419, 6}, {1050, 4}, {581, 2}},
+};
 
 } // namespace
 
@@ -478,30 +516,29 @@ TEST_F(GvmlTest, SubgroupReductionIdentityWhenEqual)
 
 TEST_F(GvmlTest, SubgroupReductionMatchesTheStagedLoopOnEveryLane)
 {
-    // Every lane, the partial sums past each group's first `subgrp`
-    // lanes included, equals the staged loop's, whether the result
-    // lands in another register or in the source itself, and from a
-    // full, a short and an empty source head.
+    // Every power-of-two shape subgrp < grp <= L (120 of them), from a
+    // full, a short and an empty source head, into another register
+    // and into the source itself: every lane, the partial sums past
+    // each group's first `subgrp` lanes included, equals the staged
+    // loop's, and the op charges exactly the staged loop's cycles and
+    // uops.
     const size_t L = g.length();
-    const std::pair<size_t, size_t> shapes[] = {
-        {8, 2}, {64, 64}, {512, 1}, {1024, 8}, {4096, 2}, {L, 1}};
-    for (auto [grp, subgrp] : shapes) {
-        for (size_t hi : kSrcHis) {
-            for (bool in_place : {false, true}) {
-                const Vr src{1}, dst = in_place ? src : Vr(0);
-                g.cpyImm16(Vr(0), 0x5a5a); // a stale destination
-                auto in = fillExtent(src, hi, grp * 31 + subgrp + hi);
+    const ApuCore &core = dev.core(0);
+    size_t shapes = 0, row = 0;
+    for (size_t grp = 2; grp <= L; grp *= 2, ++row) {
+        ASSERT_LT(row, kReduceCharges.size());
+        ASSERT_EQ(kReduceCharges[row].size(), row + 1);
+        for (size_t subgrp = 1, col = 0; subgrp < grp; subgrp *= 2, ++col) {
+            ++shapes;
+            const auto [cycles, uops] = kReduceCharges[row][col];
+            for (size_t hi : kSrcHis) {
+                const uint64_t seed = grp * 31 + subgrp + hi;
+                const Vr src{1};
+                auto in = fillExtent(src, hi, seed);
                 auto want = stagedSubgroupSum(in, grp, subgrp);
-                g.addSubgrpS16(dst, src, grp, subgrp);
                 std::string what = "grp " + std::to_string(grp) +
                     " subgrp " + std::to_string(subgrp) + " hi " +
-                    std::to_string(hi) + (in_place ? " dst = src" : "");
-                const auto &got = g.data(dst);
-                for (size_t i = 0; i < L; ++i)
-                    ASSERT_EQ(got[i], want[i]) << what << " lane " << i;
-                if (!in_place) {
-                    ASSERT_EQ(g.data(src), in) << what << " (source)";
-                }
+                    std::to_string(hi);
                 // The closed form gvml.hh states, at group edges,
                 // inside groups and at the end of the VR.
                 for (size_t i : {size_t{0}, subgrp - 1, subgrp, grp - 1,
@@ -510,8 +547,64 @@ TEST_F(GvmlTest, SubgroupReductionMatchesTheStagedLoopOnEveryLane)
                     for (size_t m = 0;
                          m < grp / subgrp && i + m * subgrp < L; ++m)
                         sum = u16(sum + in[i + m * subgrp]);
-                    ASSERT_EQ(got[i], sum) << what << " closed form " << i;
+                    ASSERT_EQ(want[i], sum) << what << " closed form " << i;
                 }
+                for (bool in_place : {false, true}) {
+                    const Vr dst = in_place ? src : Vr(0);
+                    const std::string how =
+                        what + (in_place ? " dst = src" : "");
+                    g.cpyImm16(Vr(0), 0x5a5a); // a stale destination
+                    fillExtent(src, hi, seed);
+                    const double c0 = core.stats().cycles(),
+                                 u0 = core.stats().uops();
+                    g.addSubgrpS16(dst, src, grp, subgrp);
+                    ASSERT_EQ(core.stats().cycles() - c0,
+                              static_cast<double>(cycles))
+                        << how;
+                    ASSERT_EQ(core.stats().uops() - u0,
+                              static_cast<double>(uops))
+                        << how;
+                    const auto &got = g.data(dst);
+                    if (got != want) {
+                        auto lane = std::mismatch(got.begin(), got.end(),
+                                                  want.begin())
+                                        .first -
+                            got.begin();
+                        FAIL() << how << " lane " << lane << ": "
+                               << got[lane] << " != " << want[lane];
+                    }
+                    if (!in_place) {
+                        ASSERT_EQ(g.data(src), in) << how << " (source)";
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(row, kReduceCharges.size());
+    EXPECT_EQ(shapes, 120u);
+}
+
+TEST_F(GvmlTest, SubgroupReductionOnShortVrsMatchesTheStagedLoop)
+{
+    // Registers shorter than one 8-lane block of the two passes, one
+    // block and two blocks long, every shape.
+    for (size_t L : {2, 4, 8, 16}) {
+        ApuSpec spec = defaultSpec();
+        spec.vrLength = L;
+        spec.numBanks = static_cast<unsigned>(std::min<size_t>(L, 16));
+        spec.bankElems = L / spec.numBanks;
+        ApuDevice small(spec);
+        Gvml gs(small.core(0));
+        for (size_t grp = 2; grp <= L; grp *= 2) {
+            for (size_t subgrp = 1; subgrp < grp; subgrp *= 2) {
+                Rng rng(L * 97 + grp * 7 + subgrp);
+                for (auto &x : gs.data(Vr(1)))
+                    x = rng.nextU16();
+                auto want = stagedSubgroupSum(gs.data(Vr(1)), grp, subgrp);
+                gs.addSubgrpS16(Vr(0), Vr(1), grp, subgrp);
+                EXPECT_EQ(gs.data(Vr(0)), want) << "L " << L << " grp "
+                                                << grp << " subgrp "
+                                                << subgrp;
             }
         }
     }

@@ -727,6 +727,20 @@ expectSameCores(ApuDevice &dev, const std::string &what)
 /** One op under test; returns its scalar result, or 0. */
 using ExtentOp = std::function<uint64_t(Gvml &)>;
 
+/**
+ * An op and what it is called. `uniform`, when set, names a VR that
+ * core 0 holds uniform (an empty head) before the op; unless the op
+ * writes that VR (`writesUniform`), it still holds it uniform after:
+ * an op reads a uniform operand as a scalar and never widens it.
+ */
+struct ExtentCase
+{
+    std::string what;
+    ExtentOp op;
+    int uniform = -1;
+    bool writesUniform = false;
+};
+
 uint64_t
 packed(Gvml::MaxResult r)
 {
@@ -739,17 +753,26 @@ packed(Gvml::MaxResult r)
  * per rotation of kHis over the registers.
  */
 void
-expectExtentIdentity(const std::string &what, const ExtentOp &op)
+expectExtentIdentity(const ExtentCase &c)
 {
     ApuDevice dev;
     for (size_t round = 0; round < std::size(kHis); ++round) {
         Rng rng(1000 + round);
         randomExtents(dev.core(0), rng, round);
+        if (c.uniform >= 0) {
+            LaneVector &u = dev.core(0).vr().lanes(c.uniform);
+            u.setExtent(0, u.tail());
+        }
         mirrorVrs(dev, 1);
         Gvml g0(dev.core(0)), g1(dev.core(1));
-        uint64_t r0 = op(g0);
-        uint64_t r1 = op(g1);
-        std::string where = what + " round " + std::to_string(round);
+        uint64_t r0 = c.op(g0);
+        uint64_t r1 = c.op(g1);
+        std::string where = c.what + " round " + std::to_string(round);
+        if (c.uniform >= 0 && !c.writesUniform) {
+            // Before expectSameCores, which materializes every VR.
+            EXPECT_EQ(dev.core(0).vr().lanes(c.uniform).hi(), 0u)
+                << where << ": the uniform operand was widened";
+        }
         EXPECT_EQ(r0, r1) << where;
         expectSameCores(dev, where);
     }
@@ -760,7 +783,7 @@ expectExtentIdentity(const std::string &what, const ExtentOp &op)
 TEST(LaneExtent, ExtentAwareOpsMatchFullWidth)
 {
     const uint16_t gf = GsiFloat16::fromFloat(-1.75f).bits();
-    const std::vector<std::pair<std::string, ExtentOp>> ops = {
+    const std::vector<ExtentCase> ops = {
         {"cpyImm16", [](Gvml &g) { g.cpyImm16(Vr(0), 0xbeef); return 0; }},
         {"cpy16", [](Gvml &g) { g.cpy16(Vr(0), Vr(1)); return 0; }},
         {"xor16", [](Gvml &g) { g.xor16(Vr(0), Vr(1), Vr(2)); return 0; }},
@@ -769,6 +792,21 @@ TEST(LaneExtent, ExtentAwareOpsMatchFullWidth)
         {"addS16 dst = b",
          [](Gvml &g) { g.addS16(Vr(2), Vr(1), Vr(2)); return 0; }},
         {"mulS16", [](Gvml &g) { g.mulS16(Vr(0), Vr(3), Vr(4)); return 0; }},
+        // One operand uniform, the other stored (Opt1's broadcast
+        // query scalar times an embedding plane); subS16 does not
+        // commute, so a swapped scalar shows.
+        {"subS16 a uniform",
+         [](Gvml &g) { g.subS16(Vr(0), Vr(7), Vr(3)); return 0; }, 7},
+        {"subS16 b uniform",
+         [](Gvml &g) { g.subS16(Vr(0), Vr(3), Vr(7)); return 0; }, 7},
+        {"subS16 dst = a, b uniform",
+         [](Gvml &g) { g.subS16(Vr(3), Vr(3), Vr(7)); return 0; }, 7},
+        {"mulS16 dst = b uniform",
+         [](Gvml &g) { g.mulS16(Vr(7), Vr(3), Vr(7)); return 0; }, 7,
+         true},
+        {"subS16 dst = a uniform",
+         [](Gvml &g) { g.subS16(Vr(7), Vr(7), Vr(3)); return 0; }, 7,
+         true},
         {"divU16", [](Gvml &g) { g.divU16(Vr(0), Vr(3), Vr(4)); return 0; }},
         {"gtU16", [](Gvml &g) { g.gtU16(Vr(0), Vr(5), Vr(6)); return 0; }},
         {"not16", [](Gvml &g) { g.not16(Vr(0), Vr(1)); return 0; }},
@@ -836,8 +874,8 @@ TEST(LaneExtent, ExtentAwareOpsMatchFullWidth)
              return 0;
          }},
     };
-    for (const auto &[what, op] : ops)
-        expectExtentIdentity(what, op);
+    for (const ExtentCase &c : ops)
+        expectExtentIdentity(c);
 }
 
 TEST(LaneExtent, MaxIndexPicksTheTailOnlyWhenStrictlyBetter)
