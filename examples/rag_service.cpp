@@ -92,7 +92,6 @@ servingConfig()
     // fires on a healthy batch.
     cfg.retry = RetryPolicy{3, 0.25};
     cfg.breakerThreshold = 2;
-    cfg.breakerCooldown = 2;
     cfg.batch = BatchPolicy{8, 8};
     cfg.overlapStream = true;
 

@@ -158,8 +158,6 @@ Router::Router(const baseline::RagCorpusSpec &corpus,
 
             ShardServer ss;
             ss.shard = s;
-            ss.range = shardChunkRange(corpus_.numChunks, shards_,
-                                       s);
             ss.spec = specs[s];
 
             kernels::ServerConfig scfg = cfg_.server;

@@ -102,7 +102,7 @@ struct FleetConfig
      * per query): a handful of ns each for the heap insert on a
      * host core.
      */
-    double mergeSecondsPerCandidate = 25e-9;
+    static constexpr double mergeSecondsPerCandidate = 25e-9;
 
     /** Router flight-recorder enablement. */
     obs::FlightConfig flight;
@@ -328,7 +328,6 @@ class Router
     struct ShardServer
     {
         unsigned shard = 0;
-        ShardRange range;
         baseline::RagCorpusSpec spec;
         std::unique_ptr<kernels::DeviceServer> server;
 

@@ -85,14 +85,6 @@ struct Ctx
                            std::min(bytes, content.size() * 2));
         return addr;
     }
-
-    /**
-     * Work share of the row/tile loop. The Section 5.1
-     * microbenchmark is a single-core kernel (the paper's absolute
-     * latencies match one core's throughput), so the whole problem
-     * runs on core 0 in both modes.
-     */
-    size_t share(size_t total) const { return total; }
 };
 
 /** Collect the stage breakdown from a core's ledger. */
@@ -157,8 +149,10 @@ runBaseline(Ctx &ctx)
         g.cpyImm16(vrConst, 16);
     }
 
-    size_t rows = ctx.share(s.m);
-    for (size_t i = 0; i < rows; ++i) {
+    // The Section 5.1 microbenchmark is a single-core kernel (the
+    // paper's absolute latencies match one core's throughput), so
+    // the whole problem runs on core 0 in both modes.
+    for (size_t i = 0; i < s.m; ++i) {
         {
             ScopedTag tag(core.stats(), "ld_lhs");
             // Chunk-programmed DMA fills a VR with the duplicated
@@ -268,8 +262,8 @@ runOpt(Ctx &ctx, bool coalesce, bool bf_layout)
             core.dmaL4ToL1(vmBBase + gvr, b_addr + gvr * l * 2);
     }
 
-    size_t tile_share = ctx.share(tiles);
-    for (size_t t = 0; t < tile_share; ++t) {
+    // Every tile on core 0, as in runBaseline.
+    for (size_t t = 0; t < tiles; ++t) {
         {
             ScopedTag tag(core.stats(), "ld_lhs");
             core.dmaL4ToL3(a_addr + t * rpv * kw * 2, 0,

@@ -17,6 +17,25 @@
 
 namespace cisram::kernels {
 
+/**
+ * Run `n` shape-invariant iterations on `core`: all in functional
+ * mode, one accounted iteration scaled by n otherwise.
+ */
+template <typename Fn>
+void
+timedLoop(apu::ApuCore &core, size_t n, Fn fn)
+{
+    if (n == 0)
+        return;
+    if (core.functional()) {
+        for (size_t i = 0; i < n; ++i)
+            fn(i);
+    } else {
+        apu::ScopedRepeat rep(core.stats(), static_cast<double>(n));
+        fn(0);
+    }
+}
+
 class KernelCtx
 {
   public:
@@ -47,26 +66,6 @@ class KernelCtx
     {
         return fnl ? tiles
                    : divCeil(tiles, dev.spec().numCores);
-    }
-
-    /**
-     * Run `n` shape-invariant iterations: all in functional mode,
-     * one accounted iteration scaled by n otherwise.
-     */
-    template <typename Fn>
-    void
-    timedLoop(size_t n, Fn fn)
-    {
-        if (n == 0)
-            return;
-        if (fnl) {
-            for (size_t i = 0; i < n; ++i)
-                fn(i);
-        } else {
-            apu::ScopedRepeat rep(core.stats(),
-                                  static_cast<double>(n));
-            fn(0);
-        }
     }
 
     double cycles() const { return core.stats().cycles(); }

@@ -109,12 +109,12 @@ matmulApu(ApuDevice &dev, const std::vector<int16_t> *a,
         }
     } else {
         if (coalesce_a) {
-            ctx.timedLoop(ctx.coreShare(row_groups), [&](size_t) {
+            timedLoop(ctx.core, ctx.coreShare(row_groups), [&](size_t) {
                 ctx.core.dmaL4ToL1(vmA.idx, 0);
             });
         }
-        ctx.timedLoop(ctx.coreShare(m),
-                      [&](size_t) { do_row(0); });
+        timedLoop(ctx.core, ctx.coreShare(m),
+                  [&](size_t) { do_row(0); });
     }
 
     stats = {ctx.cycles(), ctx.uops()};
@@ -232,7 +232,7 @@ kmeansApu(ApuDevice &dev, const KmeansInput *in, size_t num_points,
                     planeVmrBase + static_cast<unsigned>(pl),
                     pts_addr + pl * l * 2);
         } else {
-            ctx.timedLoop(ctx.coreShare(planes), [&](size_t) {
+            timedLoop(ctx.core, ctx.coreShare(planes), [&](size_t) {
                 ctx.core.dmaL4ToL1(planeVmrBase, 0);
             });
         }
@@ -333,7 +333,7 @@ kmeansApu(ApuDevice &dev, const KmeansInput *in, size_t num_points,
             }
             ctx.core.dmaL4ToL3(cent_addr, 0, k * dim * 2);
         }
-        ctx.timedLoop(ctx.coreShare(tiles), do_tile);
+        timedLoop(ctx.core, ctx.coreShare(tiles), do_tile);
 
         if (ctx.fnl) {
             // Host reduce: read assignments, recompute centroids.

@@ -105,7 +105,7 @@ wordCountApu(ApuDevice &dev, const std::vector<uint16_t> *word_ids,
     SortScratch scratch = SortScratch::standard();
 
     size_t share = ctx.coreShare(tiles);
-    ctx.timedLoop(share, [&](size_t tile) {
+    timedLoop(ctx.core, share, [&](size_t tile) {
         ctx.core.dmaL4ToL1(vmIn.idx, in_addr + tile * l * 2);
         g.load16(vrKey, vmIn);
         bitonicSortU16(g, vrKey, false, vrPay, scratch);
@@ -210,7 +210,7 @@ reverseIndexApu(ApuDevice &dev, const std::vector<uint16_t> *links,
     SortScratch scratch = SortScratch::standard();
 
     size_t share = ctx.coreShare(tiles);
-    ctx.timedLoop(share, [&](size_t tile) {
+    timedLoop(ctx.core, share, [&](size_t tile) {
         ctx.core.dmaL4ToL1(vmIn.idx, in_addr + tile * l * 2);
         g.load16(vrKey, vmIn);
         g.cpy16(vrPay, vrIdx);

@@ -105,7 +105,7 @@ histogramApu(ApuDevice &dev, const HistogramInput *in,
 
     size_t total_tiles = 3 * tiles_per_channel;
     size_t share = ctx.coreShare(total_tiles);
-    ctx.timedLoop(share, [&](size_t t) {
+    timedLoop(ctx.core, share, [&](size_t t) {
         int ch = ctx.fnl
             ? static_cast<int>(t / tiles_per_channel)
             : 0;
@@ -253,7 +253,7 @@ linRegApu(ApuDevice &dev, const LinRegInput *in, double input_bytes,
     };
 
     size_t share = ctx.coreShare(tiles);
-    ctx.timedLoop(share, [&](size_t tile) {
+    timedLoop(ctx.core, share, [&](size_t tile) {
         if (packed) {
             ctx.core.dmaL4ToL1(vmIn.idx, packed_addr + tile * l * 2);
             g.load16(vrT, vmIn);
@@ -450,7 +450,7 @@ stringMatchApu(ApuDevice &dev, const StringMatchInput *in,
     std::vector<uint64_t> counts(num_keys, 0);
 
     size_t share = ctx.coreShare(tiles);
-    ctx.timedLoop(share, [&](size_t tile) {
+    timedLoop(ctx.core, share, [&](size_t tile) {
         ctx.core.dmaL4ToL1(vmIn.idx, stream_addr + tile * l * 2);
         g.load16(vrS, vmIn);
         encrypt(g, vrE, vrS, vrT1, vrT2, vrXorKey);

@@ -10,12 +10,12 @@
 #include "common/gsifloat.hh"
 #include "common/logging.hh"
 #include "gvml/gvml.hh"
+#include "kernels/kernel_ctx.hh"
 
 namespace cisram::kernels {
 
 using apu::ApuCore;
 using apu::ApuDevice;
-using apu::ScopedRepeat;
 using baseline::Hit;
 using baseline::RagCorpusSpec;
 using gvml::Gvml;
@@ -65,23 +65,6 @@ ingestCycles(const apu::TimingParams &t, bool coalesce)
     if (coalesce)
         init /= 2.0;
     return init + t.control.dmaDescriptor + t.move.dmaL2L1;
-}
-
-/** Run a shape-invariant loop: all iterations in Functional mode,
- * one accounted iteration times n otherwise. */
-template <typename Fn>
-void
-timedLoop(ApuCore &core, size_t n, Fn fn)
-{
-    if (n == 0)
-        return;
-    if (core.functional()) {
-        for (size_t i = 0; i < n; ++i)
-            fn(i);
-    } else {
-        ScopedRepeat rep(core.stats(), static_cast<double>(n));
-        fn(0);
-    }
 }
 
 /** Stage timing helper: capture cycle deltas. */
@@ -473,11 +456,10 @@ RagRetriever::retrieve(const std::vector<int16_t> &query,
                   "epoch-overlaid corpora serve via retrieveBatch");
     switch (variant) {
       case RagVariant::NoOpt:
-        return retrieveSpatial(query, false, false, corpus_seed);
+      case RagVariant::Opt3: // no standalone effect on the spatial base
+        return retrieveSpatial(query, false, corpus_seed);
       case RagVariant::Opt2:
-        return retrieveSpatial(query, true, false, corpus_seed);
-      case RagVariant::Opt3:
-        return retrieveSpatial(query, false, true, corpus_seed);
+        return retrieveSpatial(query, true, corpus_seed);
       case RagVariant::Opt1:
         return retrieveTemporal(query, false, false, corpus_seed);
       case RagVariant::AllOpts:
@@ -833,8 +815,7 @@ RagRetriever::retrieveBatch(
 
 RagRunResult
 RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
-                              bool coalesce, bool bf_query,
-                              uint64_t corpus_seed)
+                              bool coalesce, uint64_t corpus_seed)
 {
     ApuCore &core = dev.core(coreIdx_);
     Gvml g(core);
@@ -843,9 +824,6 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
     size_t pad = size_t(1) << log2Ceil(corpus_.dim);
     size_t cpt = l / pad; // chunks per tile
     size_t chunks = corpus_.numChunks;
-    size_t full_tiles = chunks / cpt;
-    size_t rem = chunks % cpt;
-    size_t score_vrs = divCeil(chunks, l);
 
     RagRunResult res;
     res.dramBytes =
@@ -891,7 +869,6 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
     core.dmaL2ToL1(vmStage.idx);
     g.load16(vrQ, vmStage);
     g.cpySubgrp16Grp(vrQ, vrQ, l, pad, 0);
-    (void)bf_query; // no standalone effect on the spatial base
     res.stages.loadQuery = dev.cyclesToSeconds(timer.lap());
     // Bias setup charges to calc-distance (see retrieveBatch).
     g.cpyImm16(vrBias, 0x8000);
@@ -900,31 +877,12 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
     // Group-head scores are scattered in the tile VR; the RSP FIFO
     // moves them one element at a time into the resident score VR
     // (the fine-grained element access the paper attributes to the
-    // unoptimized mapping). When the score VR fills, its top-k is
-    // extracted in place (charged to the aggregation stage).
+    // unoptimized mapping). Once a score VR's tiles are in, its top-k
+    // is extracted in place and the VR cleared for the next (charged
+    // to the aggregation stage).
     std::vector<Hit> candidates;
     double topk_cycles = 0.0;
     const Vr vrScore{6};
-    size_t score_fill = 0; // elements in the current score VR
-    size_t score_base = 0; // first chunk of the current score VR
-
-    auto drain_scores = [&](bool force) {
-        if (score_fill == 0 || (!force && score_fill < l))
-            return;
-        double before = core.stats().cycles();
-        auto part = extractTopK(g, core, vrScore, topK, score_fill);
-        core.chargeRaw(mergeCyclesPerVr);
-        for (auto &h : part)
-            h.id += score_base;
-        candidates.insert(candidates.end(), part.begin(),
-                          part.end());
-        // Clear the drained VR so stale scores never leak into the
-        // next fill's partial extraction.
-        g.cpyImm16(vrScore, 0);
-        topk_cycles += core.stats().cycles() - before;
-        score_base += score_fill;
-        score_fill = 0;
-    };
 
     auto do_tile = [&](size_t tile_idx, size_t chunk_count) {
         core.chargeRaw(ingestCycles(t, coalesce));
@@ -948,33 +906,30 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
         }
     };
 
-    if (fnl) {
-        // Score VRs fill every l/cpt tiles; drain as they fill.
-        for (size_t i = 0; i < full_tiles; ++i) {
-            do_tile(i, cpt);
-            score_fill += cpt;
-            drain_scores(false);
-        }
-        if (rem) {
-            do_tile(full_tiles, rem);
-            score_fill += rem;
-        }
-        drain_scores(true);
-    } else {
-        timedLoop(core, full_tiles,
-                  [&](size_t i) { do_tile(i, cpt); });
-        if (rem)
-            do_tile(full_tiles, rem);
-        // One extraction pass per (possibly partial) score VR.
+    // One score VR: its full tiles price alike and a ragged last
+    // tile runs once; then its top-k, the CP merge and the clear.
+    auto score_vr = [&](size_t s) {
+        size_t n = std::min(l, chunks - s * l);
+        size_t first = s * (l / cpt);
+        timedLoop(core, n / cpt,
+                  [&](size_t i) { do_tile(first + i, cpt); });
+        if (n % cpt)
+            do_tile(first + n / cpt, n % cpt);
         double before = core.stats().cycles();
-        {
-            apu::ScopedRepeat rep(core.stats(),
-                                  static_cast<double>(score_vrs));
-            extractTopK(g, core, vrScore, topK, l);
-            core.chargeRaw(mergeCyclesPerVr);
+        for (Hit h : extractTopK(g, core, vrScore, topK, n)) {
+            h.id += s * l;
+            candidates.push_back(h);
         }
+        core.chargeRaw(mergeCyclesPerVr);
+        // Clear the drained VR so stale scores never leak into the
+        // next fill's partial extraction.
+        g.cpyImm16(vrScore, 0);
         topk_cycles += core.stats().cycles() - before;
-    }
+    };
+    // The full score VRs price alike; a ragged last one runs once.
+    timedLoop(core, chunks / l, score_vr);
+    if (chunks % l)
+        score_vr(chunks / l);
 
     return finishPass(std::move(res), timer.lap(), topk_cycles, 0,
                       {std::move(candidates)})[0];

@@ -22,7 +22,9 @@
  *  - Opt2 (on either base): coalesced DMA descriptor chains for the
  *    streamed planes/tiles.
  *  - Opt3: broadcast-friendly query layout: the CP broadcasts query
- *    scalars as immediates instead of subgroup copies.
+ *    scalars as immediates instead of subgroup copies. The spatial
+ *    mapping copies whole query groups, so on its own Opt3 runs
+ *    NoOpt's mapping and charges exactly what NoOpt does.
  *  - AllOpts: Opt1 + Opt2 + Opt3.
  *
  * Top-k uses the associative global-max search per score VR; the CP
@@ -262,8 +264,7 @@ class RagRetriever
     Resident &resident(uint64_t corpus_seed);
 
     RagRunResult retrieveSpatial(const std::vector<int16_t> &query,
-                                 bool coalesce, bool bf_query,
-                                 uint64_t corpus_seed);
+                                 bool coalesce, uint64_t corpus_seed);
     RagRunResult retrieveTemporal(const std::vector<int16_t> &query,
                                   bool coalesce, bool bf_query,
                                   uint64_t corpus_seed);

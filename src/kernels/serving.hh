@@ -368,7 +368,7 @@ struct ServerConfig
     unsigned deviceIndex = 0;
     RetryPolicy retry{3, 0.5};
     unsigned breakerThreshold = 2;
-    unsigned breakerCooldown = 2;
+    static constexpr unsigned breakerCooldown = 2;
     BatchPolicy batch;
 
     /** Double-buffer the HBM embedding stream behind compute. */

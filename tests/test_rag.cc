@@ -219,20 +219,22 @@ TEST_P(RagFunctional, MultiTileCorpus)
     RagCorpusSpec spec{"two-tiles", 0, 40000, 368};
     auto query = genQuery(spec.dim, 32);
     auto expect = referenceTopK(spec, 18, query, 5);
+    std::string what = ragVariantName(GetParam());
 
-    apu::ApuDevice dev;
-    dram::DramSystem hbm(dram::hbm2eConfig());
-    RagRetriever retriever(dev, hbm, spec, 5);
-    auto got = retriever.retrieve(query, GetParam(), 18);
+    PinRig rig(spec, true);
+    auto got = rig.r.retrieve(query, GetParam(), 18);
 
     ASSERT_EQ(got.hits.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i) {
-        EXPECT_EQ(got.hits[i].id, expect[i].id)
-            << ragVariantName(GetParam()) << " " << i;
+        EXPECT_EQ(got.hits[i].id, expect[i].id) << what << " " << i;
         EXPECT_FLOAT_EQ(got.hits[i].score, expect[i].score) << i;
     }
-    expectPin(simPin(got, dev), raggedMappingPin(GetParam()),
-              ragVariantName(GetParam()));
+    expectPin(simPin(got, rig.dev), raggedMappingPin(GetParam()), what);
+
+    // TimingOnly evaluates no lanes but must charge the same.
+    PinRig timing(spec, false);
+    expectPin(simPin(timing.r.retrieve(query, GetParam(), 18), timing.dev),
+              raggedMappingPin(GetParam()), what + " TimingOnly");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -563,9 +565,9 @@ TEST(RagPins, RetrieveTimingOnlyEveryMappingAndCorpus)
     const Row rows[] = {
         {0, RagVariant::NoOpt,
          {0x1.c7fdcd43a37c1p-12, 0x1.cac195f32d1ap-19,
-          0x1.0cc6867b7382ap-5, 0x1.d0ba9816e29aap-16,
+          0x1.0cc6867b7382ap-5, 0x1.d33ed6d5644b1p-16,
           0x1.d5c31593e5fb8p-17, 0x0p+0,
-          0x1.f55262p+23, 0x1.a504p+15}},
+          0x1.f552f8p+23, 0x1.a50ep+15}},
         {0, RagVariant::Opt1,
          {0x1.47be6b889d813p-12, 0x1.b43526527a206p-19,
           0x1.34f681d1fcb78p-8, 0x1.d0ba9816e29aap-16,
@@ -573,14 +575,14 @@ TEST(RagPins, RetrieveTimingOnlyEveryMappingAndCorpus)
           0x1.227cd8p+21, 0x1.e5cp+12}},
         {0, RagVariant::Opt2,
          {0x1.c7fdcd43a37c1p-12, 0x1.cac195f32d1ap-19,
-          0x1.015769af824a6p-5, 0x1.d0ba9816e29aap-16,
+          0x1.015769af824a6p-5, 0x1.d33ed6d5644b1p-16,
           0x1.d5c31593e5fb8p-17, 0x0p+0,
-          0x1.e00636p+23, 0x1.a504p+15}},
+          0x1.e006ccp+23, 0x1.a50ep+15}},
         {0, RagVariant::Opt3,
          {0x1.c7fdcd43a37c1p-12, 0x1.cac195f32d1ap-19,
-          0x1.0cc6867b7382ap-5, 0x1.d0ba9816e29aap-16,
+          0x1.0cc6867b7382ap-5, 0x1.d33ed6d5644b1p-16,
           0x1.d5c31593e5fb8p-17, 0x0p+0,
-          0x1.f55262p+23, 0x1.a504p+15}},
+          0x1.f552f8p+23, 0x1.a50ep+15}},
         {0, RagVariant::AllOpts,
          {0x1.47be6b889d813p-12, 0x1.68914a25fa20ep-14,
           0x1.c47b4499e2eaap-9, 0x1.d0ba9816e29aap-16,
@@ -588,9 +590,9 @@ TEST(RagPins, RetrieveTimingOnlyEveryMappingAndCorpus)
           0x1.b4fd9p+20, 0x1.e5cp+12}},
         {1, RagVariant::NoOpt,
          {0x1.1e64b48d3ae67p-9, 0x1.cac195f32d1ap-19,
-          0x1.519ce188d7bbbp-3, 0x1.22749f0e4da0ap-13,
+          0x1.519ce188d7bbbp-3, 0x1.240746455eaeep-13,
           0x1.d5c31593e5fb8p-17, 0x0p+0,
-          0x1.3ab94ccp+26, 0x1.0865p+18}},
+          0x1.3ab9aa8p+26, 0x1.086b4p+18}},
         {1, RagVariant::Opt1,
          {0x1.9bb0c38b04ab4p-10, 0x1.b43526527a206p-19,
           0x1.8233a16d22983p-6, 0x1.22749f0e4da0ap-13,
@@ -598,14 +600,14 @@ TEST(RagPins, RetrieveTimingOnlyEveryMappingAndCorpus)
           0x1.6a0e0ep+23, 0x1.2f88p+15}},
         {1, RagVariant::Opt2,
          {0x1.1e64b48d3ae67p-9, 0x1.cac195f32d1ap-19,
-          0x1.43402d5b71af9p-3, 0x1.22749f0e4da0ap-13,
+          0x1.43402d5b71af9p-3, 0x1.240746455eaeep-13,
           0x1.d5c31593e5fb8p-17, 0x0p+0,
-          0x1.2d591a4p+26, 0x1.0865p+18}},
+          0x1.2d5978p+26, 0x1.086b4p+18}},
         {1, RagVariant::Opt3,
          {0x1.1e64b48d3ae67p-9, 0x1.cac195f32d1ap-19,
-          0x1.519ce188d7bbbp-3, 0x1.22749f0e4da0ap-13,
+          0x1.519ce188d7bbbp-3, 0x1.240746455eaeep-13,
           0x1.d5c31593e5fb8p-17, 0x0p+0,
-          0x1.3ab94ccp+26, 0x1.0865p+18}},
+          0x1.3ab9aa8p+26, 0x1.086b4p+18}},
         {1, RagVariant::AllOpts,
          {0x1.9bb0c38b04ab4p-10, 0x1.68914a25fa20ep-14,
           0x1.1acc8a06d4858p-6, 0x1.22749f0e4da0ap-13,
@@ -613,9 +615,9 @@ TEST(RagPins, RetrieveTimingOnlyEveryMappingAndCorpus)
           0x1.0b040ap+23, 0x1.2f88p+15}},
         {2, RagVariant::NoOpt,
          {0x1.207dd2f1a9fbep-7, 0x1.cac195f32d1ap-19,
-          0x1.54160b964765ep-1, 0x1.255c3001a571ap-11,
+          0x1.54160b964765ep-1, 0x1.26f2de0380e9p-11,
           0x1.d5c31593e5fb8p-17, 0x0p+0,
-          0x1.3d01471p+28, 0x1.0a55ap+20}},
+          0x1.3d01a5cp+28, 0x1.0a5bfp+20}},
         {2, RagVariant::Opt1,
          {0x1.9eb4df3b645ap-8, 0x1.b43526527a206p-19,
           0x1.861036144a4b1p-4, 0x1.255c3001a571ap-11,
@@ -623,14 +625,14 @@ TEST(RagPins, RetrieveTimingOnlyEveryMappingAndCorpus)
           0x1.6d799d8p+25, 0x1.328ep+17}},
         {2, RagVariant::Opt2,
          {0x1.207dd2f1a9fbep-7, 0x1.cac195f32d1ap-19,
-          0x1.459e67f95255bp-1, 0x1.255c3001a571ap-11,
+          0x1.459e67f95255bp-1, 0x1.26f2de0380e9p-11,
           0x1.d5c31593e5fb8p-17, 0x0p+0,
-          0x1.2f87febp+28, 0x1.0a55ap+20}},
+          0x1.2f885d6p+28, 0x1.0a5bfp+20}},
         {2, RagVariant::Opt3,
          {0x1.207dd2f1a9fbep-7, 0x1.cac195f32d1ap-19,
-          0x1.54160b964765ep-1, 0x1.255c3001a571ap-11,
+          0x1.54160b964765ep-1, 0x1.26f2de0380e9p-11,
           0x1.d5c31593e5fb8p-17, 0x0p+0,
-          0x1.3d01471p+28, 0x1.0a55ap+20}},
+          0x1.3d01a5cp+28, 0x1.0a5bfp+20}},
         {2, RagVariant::AllOpts,
          {0x1.9eb4df3b645ap-8, 0x1.68914a25fa20ep-14,
           0x1.1da068af85adfp-4, 0x1.255c3001a571ap-11,
@@ -784,29 +786,22 @@ TEST(RagPins, IvfTimingOnlyListsSpanSupertiles)
 TEST(RagPins, FunctionalRaggedGf16)
 {
     // The five retrieve() mappings are pinned by
-    // RagFunctional.MultiTileCorpus on the same shape.
+    // RagFunctional.MultiTileCorpus on the same shape. Every
+    // functional pin row here also runs on a TimingOnly rig, which
+    // evaluates no lanes but must charge the same (the ragged last
+    // supertile's mask included).
     const RagCorpusSpec spec = raggedSpec();
-    PinRig rig(spec, true);
-    auto r = rig.r.retrieveGf16(genQuery(spec.dim, 77), kPinSeed);
-    EXPECT_EQ(hitDigest({r}), 0x4100756d82669a13ull);
-    expectPin(simPin(r, rig.dev),
-              {0x1.41e6d259a6b79p-14, 0x1.5aefa0f3664fdp-14,
-               0x1.5342f319bd965p-10, 0x1.73c879abe87bbp-17,
-               0x1.d5c31593e5fb8p-17, 0x0p+0,
-               0x1.56478p+19, 0x1.85cp+11},
-              "gf16");
-}
-
-TEST(RagGf16, RaggedSupertileChargesAlikeInBothModes)
-{
-    // TimingOnly evaluates no lanes but must charge the ragged last
-    // supertile's mask exactly as Functional does.
-    const RagCorpusSpec spec = raggedSpec();
-    PinRig fnl(spec, true), timing(spec, false);
+    const SimPin want = {0x1.41e6d259a6b79p-14, 0x1.5aefa0f3664fdp-14,
+                         0x1.5342f319bd965p-10, 0x1.73c879abe87bbp-17,
+                         0x1.d5c31593e5fb8p-17, 0x0p+0,
+                         0x1.56478p+19, 0x1.85cp+11};
     auto q = genQuery(spec.dim, 77);
-    SimPin want = simPin(fnl.r.retrieveGf16(q, kPinSeed), fnl.dev);
+    PinRig rig(spec, true), timing(spec, false);
+    auto r = rig.r.retrieveGf16(q, kPinSeed);
+    EXPECT_EQ(hitDigest({r}), 0x4100756d82669a13ull);
+    expectPin(simPin(r, rig.dev), want, "gf16");
     expectPin(simPin(timing.r.retrieveGf16(q, kPinSeed), timing.dev),
-              want, "gf16 TimingOnly vs Functional");
+              want, "gf16 TimingOnly");
 }
 
 TEST(RagPins, FunctionalRaggedBatch)
@@ -850,6 +845,9 @@ TEST(RagPins, FunctionalRaggedBatch)
                            &digest),
                   row.want, what);
         EXPECT_EQ(digest, row.digest) << what;
+        PinRig timing(spec, false);
+        expectPin(batchPin(timing, pinQueries(spec, row.batch), o),
+                  row.want, what + " TimingOnly");
     }
 }
 
@@ -868,17 +866,19 @@ TEST(RagPins, FunctionalRaggedEpochOverlay)
     spec.numChunks = view.baseChunks + view.inserted.size();
     spec.epochView = &view;
 
-    PinRig rig(spec, true);
+    const SimPin want = {0x1.b19816d81ae28p-16, 0x1.d1d60fdb591b7p-16,
+                         0x1.69b59da89455cp-11, 0x1.77ace85e81485p-17,
+                         0x1.d5c31593e5fb8p-17, 0x1.928b895334bp-17,
+                         0x1.100bep+20, 0x1.eb5p+12};
+    PinRig rig(spec, true), timing(spec, false);
     RagBatchOptions o;
     o.overlapStream = true;
     uint64_t digest = 0;
-    expectPin(batchPin(rig, pinQueries(spec, 3), o, &digest),
-              {0x1.b19816d81ae28p-16, 0x1.d1d60fdb591b7p-16,
-               0x1.69b59da89455cp-11, 0x1.77ace85e81485p-17,
-               0x1.d5c31593e5fb8p-17, 0x1.928b895334bp-17,
-               0x1.100bep+20, 0x1.eb5p+12},
+    expectPin(batchPin(rig, pinQueries(spec, 3), o, &digest), want,
               "epoch overlay");
     EXPECT_EQ(digest, 0x192149aaf02f4449ull);
+    expectPin(batchPin(timing, pinQueries(spec, 3), o), want,
+              "epoch overlay TimingOnly");
 }
 
 TEST(RagPins, FunctionalRaggedIvf)
@@ -925,6 +925,9 @@ TEST(RagPins, FunctionalRaggedIvf)
                            &digest),
                   row.want, what);
         EXPECT_EQ(digest, row.digest) << what;
+        PinRig timing(spec, false);
+        expectPin(batchPin(timing, pinQueries(spec, row.batch), o),
+                  row.want, what + " TimingOnly");
     }
 }
 

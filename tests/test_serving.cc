@@ -586,7 +586,6 @@ TEST(ServingLatency, BreakerRoutesCooldownQueriesStraightToCpu)
     dev.core(0).setMode(apu::ExecMode::TimingOnly);
     ServerConfig cfg;
     cfg.breakerThreshold = 1;
-    cfg.breakerCooldown = 2;
     DeviceServer server(dev, spec, 0, nullptr, 1, cfg);
 
     auto first = serveOne(server, 1, genQuery(spec.dim, 1));
