@@ -167,6 +167,31 @@ class ApuCore
     CycleStats stats_;
 };
 
+/**
+ * RAII: inside the scope the core charges as TimingOnly does, with
+ * no lane work; on exit it returns to its mode. A functional kernel
+ * charges a loop this way and then evaluates the loop's lanes in one
+ * pass (kernels::macPlanes).
+ */
+class ScopedTimingOnly
+{
+  public:
+    explicit ScopedTimingOnly(ApuCore &core)
+        : core_(core), saved_(core.mode())
+    {
+        core_.setMode(ExecMode::TimingOnly);
+    }
+
+    ~ScopedTimingOnly() { core_.setMode(saved_); }
+
+    ScopedTimingOnly(const ScopedTimingOnly &) = delete;
+    ScopedTimingOnly &operator=(const ScopedTimingOnly &) = delete;
+
+  private:
+    ApuCore &core_;
+    ExecMode saved_;
+};
+
 class ApuDevice
 {
   public:

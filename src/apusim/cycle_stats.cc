@@ -17,7 +17,7 @@ CycleStats::observeCharge(double start, double scaled)
     }
     if (metrics::enabled() && op) {
         auto &m = metrics::Registry::get().opCounters(op);
-        m.issues.inc();
+        m.issues.inc(repeatFactor);
         m.cycles.inc(scaled);
         double bytes = trace::currentBytes();
         if (bytes > 0)

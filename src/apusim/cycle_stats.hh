@@ -22,6 +22,7 @@
 #ifndef CISRAM_APUSIM_CYCLE_STATS_HH
 #define CISRAM_APUSIM_CYCLE_STATS_HH
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -101,9 +102,17 @@ class CycleStats
         tagStack.pop_back();
     }
 
+    /**
+     * Multiply later charges by n, a whole loop count: charging one
+     * iteration scaled by n then adds exactly what n equal charges
+     * add, as every charge is a whole number of cycles.
+     */
     void
     pushRepeat(double n)
     {
+        cisram_assert(n >= 1.0 && n == std::floor(n),
+                      "repeat count ", n, " is not a positive whole "
+                      "number");
         repeatStack.push_back(n);
         repeatFactor *= n;
     }

@@ -64,20 +64,13 @@ DeviceDram::pageFor(uint64_t addr, bool create) const
 void
 DeviceDram::read(uint64_t addr, void *dst, size_t n) const
 {
-    cisram_assert(addr + n <= capacity_, "DRAM read OOB at ", addr);
     uint8_t *out = static_cast<uint8_t *>(dst);
-    while (n > 0) {
-        uint64_t off = addr % pageBytes;
-        size_t chunk = std::min<size_t>(n, pageBytes - off);
-        const uint8_t *page = pageFor(addr, false);
-        if (page)
-            std::memcpy(out, page + off, chunk);
+    visit(addr, n, [out](size_t off, const uint8_t *p, size_t m) {
+        if (p)
+            std::memcpy(out + off, p, m);
         else
-            std::memset(out, 0, chunk);
-        addr += chunk;
-        out += chunk;
-        n -= chunk;
-    }
+            std::memset(out + off, 0, m);
+    });
 }
 
 void

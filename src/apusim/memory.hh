@@ -13,6 +13,7 @@
 #ifndef CISRAM_APUSIM_MEMORY_HH
 #define CISRAM_APUSIM_MEMORY_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -58,6 +59,27 @@ class DeviceDram
 
     /** Copy `n` bytes from the device address space into `dst`. */
     void read(uint64_t addr, void *dst, size_t n) const;
+
+    /**
+     * Read [addr, addr + n) in place, one page-contiguous piece at a
+     * time in address order: fn(off, p, m) for the m bytes at offset
+     * off into the range, where p points at them in the page (valid
+     * for the device's lifetime), or is null for a page never written
+     * (its bytes read as zero).
+     */
+    template <typename Fn>
+    void
+    visit(uint64_t addr, size_t n, Fn &&fn) const
+    {
+        cisram_assert(addr + n <= capacity_, "DRAM read OOB at ", addr);
+        for (size_t off = 0; off < n;) {
+            uint64_t at = (addr + off) % pageBytes;
+            size_t m = std::min<size_t>(n - off, pageBytes - at);
+            const uint8_t *page = pageFor(addr + off, false);
+            fn(off, page ? page + at : nullptr, m);
+            off += m;
+        }
+    }
 
     /** Copy `n` bytes from `src` into the device address space. */
     void write(uint64_t addr, const void *src, size_t n);

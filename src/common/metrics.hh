@@ -151,11 +151,17 @@ class Histogram
     uint64_t buckets_[numBuckets] = {};
 };
 
-/** Per-op counter bundle used by the cycle-charging hot path. */
+/**
+ * Per-op counter bundle used by the cycle-charging hot path. Every
+ * counter is repeat-scaled: a charge under a repeat scope of n counts
+ * as the n simulated issues it stands for, so the counts depend on
+ * the simulated program, not on the execution mode or on how a loop
+ * is charged.
+ */
 struct OpCounters
 {
-    Counter &issues; ///< times the op was charged
-    Counter &cycles; ///< total (repeat-scaled) cycles
+    Counter &issues; ///< simulated issues of the op
+    Counter &cycles; ///< total cycles
     Counter &bytes;  ///< total bytes moved (DMA/PIO ops)
 };
 

@@ -246,6 +246,34 @@ class Gvml
                    const Vr *accs, const uint16_t *imms, size_t n);
 
     /**
+     * The run form of the retrieval kernels' plane loop, lanes only.
+     * For n planes of `valid` u16 lanes staged back to back in L4 at
+     * `planes` (plane d at planes + 2 * d * valid), it leaves every
+     * register and extent exactly as this loop leaves them:
+     *
+     *   for d in [0, n):
+     *     stage <- plane d: its `valid` lanes, then a zero tail;
+     *     load16(emb, stage);
+     *     macImmS16(emb, scratch_q, scratch_t, accs,
+     *               imms + d * nq, nq);
+     *
+     * So each accs[q] gains sum over d of plane d x imms[d * nq + q]
+     * (mod 2^16) on its first `valid` lanes. `stage` and `emb` hold the
+     * last plane. scratch_q and scratch_t hold what the last query
+     * leaves.
+     *
+     * It charges nothing; the caller charges the loop
+     * (kernels::macPlanes charges one iteration under a repeat of
+     * n). The lanes come from one pass per plane that reads the plane
+     * in place from L4, page by page, into every accumulator. Only
+     * the last plane is copied, into `stage` and `emb`. Registers are
+     * distinct, as for macImmS16.
+     */
+    void macPlanesS16(Vmr stage, Vr emb, Vr scratch_q, Vr scratch_t,
+                      const Vr *accs, size_t nq, const uint16_t *imms,
+                      uint64_t planes, size_t valid, size_t n);
+
+    /**
      * GSI-float variant of macImmS16 (cpyImm16 + mulGf16 + addGf16)
      * for a single accumulator.
      */

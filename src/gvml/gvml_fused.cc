@@ -11,9 +11,19 @@
  * under the identical op labels in the identical order, and leave the
  * VR file in the identical state (tests/test_wordparallel.cc pins
  * both against the unfused sequence).
+ *
+ * macPlanesS16 is the run form of the whole plane loop (ingest,
+ * load16, macImmS16 per plane). It evaluates a supertile's lanes in
+ * one pass per plane, reading the planes in place from L4; its caller
+ * charges the loop once under a repeat count. It and macImmS16 share
+ * one MAC lane loop.
  */
 
 #include "gvml/gvml.hh"
+
+#include <algorithm>
+#include <cstring>
+#include <vector>
 
 #include "common/gsifloat.hh"
 #include "common/trace.hh"
@@ -22,16 +32,48 @@ namespace cisram::gvml {
 
 namespace {
 
-int16_t
-asS16(uint16_t v)
+/**
+ * acc[i] += x[i] * w (mod 2^16) for i < n, where x holds n u16 lanes
+ * as bytes (a register's head, or a page of L4): the one MAC lane
+ * loop.
+ */
+void
+macLanes(uint16_t *acc, const uint8_t *x, uint16_t w, size_t n)
 {
-    return static_cast<int16_t>(v);
+    for (size_t i = 0; i < n; ++i) {
+        uint16_t xi;
+        std::memcpy(&xi, x + 2 * i, 2);
+        acc[i] = static_cast<uint16_t>(acc[i] + uint32_t{xi} * w);
+    }
 }
 
-uint16_t
-asU16(int32_t v)
+/**
+ * The scratch registers as the unfused triple leaves them after its
+ * last query: the broadcast immediate w, and emb times w over emb's
+ * extent.
+ */
+void
+leaveScratch(apu::VrFile &vr, Vr emb, Vr scratch_q, Vr scratch_t,
+             uint16_t w)
 {
-    return static_cast<uint16_t>(static_cast<uint16_t>(v & 0xffff));
+    vr.lanes(scratch_q.idx).setExtent(0, w);
+    const apu::LaneVector &e = vr.lanes(emb.idx);
+    apu::LaneVector &tv = vr.lanes(scratch_t.idx);
+    uint16_t *ts = tv.head();
+    const uint16_t *es = e.head();
+    for (size_t i = 0; i < e.hi(); ++i)
+        ts[i] = static_cast<uint16_t>(uint32_t{es[i]} * w);
+    tv.setExtent(e.hi(), static_cast<uint16_t>(uint32_t{e.tail()} * w));
+}
+
+void
+checkMacRegs(Vr emb, Vr scratch_q, Vr scratch_t, const Vr *accs, size_t n)
+{
+    for (size_t q = 0; q < n; ++q)
+        cisram_assert(accs[q].idx != emb.idx &&
+                          accs[q].idx != scratch_q.idx &&
+                          accs[q].idx != scratch_t.idx,
+                      "fused MAC registers must be distinct");
 }
 
 } // namespace
@@ -40,13 +82,9 @@ void
 Gvml::macImmS16(Vr emb, Vr scratch_q, Vr scratch_t, const Vr *accs,
                 const uint16_t *imms, size_t n)
 {
+    checkMacRegs(emb, scratch_q, scratch_t, accs, n);
     const auto &t = core_.timing();
-    bool fnl = core_.functional();
     for (size_t q = 0; q < n; ++q) {
-        cisram_assert(accs[q].idx != emb.idx &&
-                          accs[q].idx != scratch_q.idx &&
-                          accs[q].idx != scratch_t.idx,
-                      "fused MAC registers must be distinct");
         {
             trace::OpScope traceOp_("gvml.cpyImm16");
             core_.chargeVectorOp(t.move.cpyImm);
@@ -59,42 +97,68 @@ Gvml::macImmS16(Vr emb, Vr scratch_q, Vr scratch_t, const Vr *accs,
             trace::OpScope traceOp_("gvml.addS16");
             core_.chargeVectorOp(t.compute.addS16);
         }
-        if (fnl) {
-            // Over the common extent of emb and the accumulator;
-            // the tails accumulate once (apusim/lane_vector.hh).
-            const apu::LaneVector &e = core_.vr().lanes(emb.idx);
-            apu::LaneVector &a = core_.vr().lanes(accs[q].idx);
-            size_t h = apu::widenAll(e, a);
-            int16_t w = asS16(imms[q]);
-            auto mac = [w](uint16_t acc, uint16_t x) {
-                uint16_t prod = asU16(static_cast<int32_t>(asS16(x)) * w);
-                return asU16(static_cast<int32_t>(asS16(acc)) +
-                             asS16(prod));
-            };
-            uint16_t tail = mac(a.tail(), e.tail());
-            uint16_t *as = a.head();
-            const uint16_t *es = e.head();
-            for (size_t i = 0; i < h; ++i)
-                as[i] = mac(as[i], es[i]);
-            a.setExtent(h, tail);
-        }
     }
-    if (fnl && n > 0) {
-        // The last query's broadcast and product planes are what the
-        // unfused sequence leaves behind in the scratch registers.
-        core_.vr().lanes(scratch_q.idx).setExtent(0, imms[n - 1]);
-        const apu::LaneVector &e = core_.vr().lanes(emb.idx);
-        apu::LaneVector &tv = core_.vr().lanes(scratch_t.idx);
-        int16_t w = asS16(imms[n - 1]);
-        auto mul = [w](uint16_t x) {
-            return asU16(static_cast<int32_t>(asS16(x)) * w);
-        };
-        uint16_t *ts = tv.head();
-        const uint16_t *es = e.head();
-        for (size_t i = 0; i < e.hi(); ++i)
-            ts[i] = mul(es[i]);
-        tv.setExtent(e.hi(), mul(e.tail()));
+    if (!core_.functional() || n == 0)
+        return;
+    // Over the common extent of emb and each accumulator in turn; the
+    // tails accumulate once (apusim/lane_vector.hh).
+    apu::VrFile &vr = core_.vr();
+    const apu::LaneVector &e = vr.lanes(emb.idx);
+    for (size_t q = 0; q < n; ++q) {
+        apu::LaneVector &a = vr.lanes(accs[q].idx);
+        size_t h = apu::widenAll(e, a);
+        macLanes(a.head(), reinterpret_cast<const uint8_t *>(e.head()),
+                 imms[q], h);
+        a.setExtent(h, static_cast<uint16_t>(
+                           a.tail() + uint32_t{e.tail()} * imms[q]));
     }
+    leaveScratch(vr, emb, scratch_q, scratch_t, imms[n - 1]);
+}
+
+void
+Gvml::macPlanesS16(Vmr stage, Vr emb, Vr scratch_q, Vr scratch_t,
+                   const Vr *accs, size_t nq, const uint16_t *imms,
+                   uint64_t planes, size_t valid, size_t n)
+{
+    checkMacRegs(emb, scratch_q, scratch_t, accs, nq);
+    cisram_assert(planes % 2 == 0, "planes at odd L4 address ", planes);
+    if (n == 0)
+        return;
+    // Each macImmS16 widens emb (`valid` lanes, a zero tail) and
+    // accs[q] to the larger of their extents in turn, so accs[q] ends
+    // at the largest of `valid` and the extents of accs[0..q]. Past
+    // `valid` it adds 0 x w: its lanes and tail stay.
+    apu::VrFile &vr = core_.vr();
+    std::vector<uint16_t *> heads(nq);
+    size_t h = valid;
+    for (size_t q = 0; q < nq; ++q) {
+        apu::LaneVector &a = vr.lanes(accs[q].idx);
+        h = std::max(h, a.hi());
+        a.widen(h);
+        heads[q] = a.head();
+    }
+    const apu::DeviceDram &l4 = core_.device().l4();
+    for (size_t d = 0; d < n; ++d) {
+        const uint16_t *w = imms + d * nq;
+        l4.visit(planes + 2 * d * valid, 2 * valid,
+                 [&](size_t off, const uint8_t *p, size_t bytes) {
+                     if (!p) // a page never written: zero lanes
+                         return;
+                     // Pieces start at even offsets: whole lanes.
+                     for (size_t q = 0; q < nq; ++q)
+                         macLanes(heads[q] + off / 2, p, w[q], bytes / 2);
+                 });
+    }
+    // The last plane, where the loop leaves it: in stage, and in emb
+    // as the last macImmS16 widened it.
+    apu::LaneVector &s = core_.l1().lanes(stage.idx);
+    l4.read(planes + 2 * (n - 1) * valid, s.head(), 2 * valid);
+    s.setExtent(valid, 0);
+    apu::LaneVector &e = vr.lanes(emb.idx);
+    e.assign(s);
+    e.widen(h);
+    if (nq > 0)
+        leaveScratch(vr, emb, scratch_q, scratch_t, imms[n * nq - 1]);
 }
 
 void

@@ -191,6 +191,22 @@ searchStepCycles(const apu::TimingParams &t)
 }
 
 /**
+ * Charge the associative search: 16 bit-serial refinement steps, then
+ * one serial index fetch. The steps cost alike whatever the data, so
+ * they charge as one step under a repeat of 16.
+ */
+void
+chargeSearch(apu::ApuCore &core)
+{
+    const auto &t = core.timing();
+    {
+        apu::ScopedRepeat steps(core.stats(), 16);
+        core.chargeVectorOp(searchStepCycles(t));
+    }
+    core.chargeRaw(t.move.pioStorePerElem);
+}
+
+/**
  * The first lane holding the best value under `better`: a scan of
  * the stored head, then the uniform tail, whose first lane is hi
  * (apusim/lane_vector.hh).
@@ -220,11 +236,7 @@ Gvml::MaxResult
 Gvml::maxIndexU16(Vr src)
 {
     trace::OpScope traceOp_("gvml.maxIndexU16");
-    const auto &t = core_.timing();
-    // 16 bit-serial refinement steps, then one serial index fetch.
-    for (int b = 0; b < 16; ++b)
-        core_.chargeVectorOp(searchStepCycles(t));
-    core_.chargeRaw(t.move.pioStorePerElem);
+    chargeSearch(core_);
 
     if (!core_.functional())
         return {0, 0};
@@ -245,10 +257,7 @@ Gvml::MaxResult
 Gvml::minIndexU16(Vr src)
 {
     trace::OpScope traceOp_("gvml.minIndexU16");
-    const auto &t = core_.timing();
-    for (int b = 0; b < 16; ++b)
-        core_.chargeVectorOp(searchStepCycles(t));
-    core_.chargeRaw(t.move.pioStorePerElem);
+    chargeSearch(core_);
 
     if (!core_.functional())
         return {0, 0};

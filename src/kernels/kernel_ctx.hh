@@ -2,7 +2,8 @@
  * @file
  * Shared scaffolding for APU kernels: device/core handles, L4
  * staging, functional-vs-timing work splitting, and stat collection.
- * Internal to src/kernels.
+ * Internal to src/kernels (tests/test_wordparallel.cc also runs
+ * macPlanes).
  */
 
 #ifndef CISRAM_KERNELS_KERNEL_CTX_HH
@@ -34,6 +35,38 @@ timedLoop(apu::ApuCore &core, size_t n, Fn fn)
         apu::ScopedRepeat rep(core.stats(), static_cast<double>(n));
         fn(0);
     }
+}
+
+/**
+ * The retrieval kernels' plane loop over n planes of `valid` lanes
+ * staged back to back in L4 at `planes`: per plane, charge `ingest`
+ * cycles, ingest the plane into `stage`, load16 it into emb and
+ * macImmS16 it into accs against its nq immediates (imms,
+ * plane-major). Both modes charge it as TimingOnly does, one
+ * iteration under a repeat of n with the core's lane work off, which
+ * is exact because op latency is data-independent and every charge is
+ * a whole number of cycles. Functional mode then evaluates the loop's
+ * lanes in one pass (Gvml::macPlanesS16).
+ */
+inline void
+macPlanes(apu::ApuCore &core, uint64_t ingest, gvml::Vmr stage,
+          gvml::Vr emb, gvml::Vr scratch_q, gvml::Vr scratch_t,
+          const gvml::Vr *accs, size_t nq, const uint16_t *imms,
+          uint64_t planes, size_t valid, size_t n)
+{
+    gvml::Gvml g(core);
+    bool fnl = core.functional();
+    {
+        apu::ScopedTimingOnly charge_only(core);
+        timedLoop(core, n, [&](size_t) {
+            core.chargeRaw(ingest);
+            g.load16(emb, stage);
+            g.macImmS16(emb, scratch_q, scratch_t, accs, imms, nq);
+        });
+    }
+    if (fnl)
+        g.macPlanesS16(stage, emb, scratch_q, scratch_t, accs, nq, imms,
+                       planes, valid, n);
 }
 
 class KernelCtx

@@ -118,14 +118,14 @@ extractTopK(Gvml &g, ApuCore &core, Vr score, size_t k,
             size_t valid_elems)
 {
     std::vector<Hit> out;
-    for (size_t i = 0; i < k; ++i) {
+    timedLoop(core, k, [&](size_t) {
         auto mx = g.maxIndexU16(score);
         core.rspSet(score.idx, core.functional() ? mx.index : 0, 0);
         if (core.functional() && mx.index < valid_elems &&
             mx.value != 0) {
             out.push_back({unbias(mx.value), mx.index});
         }
-    }
+    });
     return out;
 }
 
@@ -246,7 +246,6 @@ class StagedPlanes
         slot.setExtent(valid, 0);
     }
 
-  private:
     /** Rows in supertile st. */
     size_t lanes(size_t st) const { return std::min(l_, rows_ - st * l_); }
 
@@ -257,6 +256,7 @@ class StagedPlanes
         return mem_.addr + (st * l_ * dim_ + d * lanes(st)) * 2;
     }
 
+  private:
     size_t l_;
     size_t rows_;
     size_t dim_;
@@ -701,8 +701,8 @@ RagRetriever::retrieveBatch(
     g.cpyImm16(vrBias, 0x8000);
 
     // One run through the per-supertile body: zero the scoring
-    // lanes' accumulators, ingest each of dim planes into a
-    // broadcast MAC, ingest the admit plane, then bias, mask and
+    // lanes' accumulators, ingest each of dim planes into a broadcast
+    // MAC (macPlanes), ingest the admit plane, then bias, mask and
     // extract k winners per lane (ids mapped to the run's positions)
     // before `merges` CP merges. The run's planes stay resident once
     // staged; its admit plane (1 where row i may match) follows the
@@ -725,21 +725,17 @@ RagRetriever::retrieveBatch(
         std::vector<Vr> accs;
         for (size_t q : run.lanes)
             accs.push_back(acc(q));
+        std::vector<uint16_t> imms; // plane-major, for the lane pass
+        for (size_t d = 0; fnl && d < dim; ++d)
+            for (size_t q : run.lanes)
+                imms.push_back(static_cast<uint16_t>(queries[q][d]));
         timedLoop(core, divCeil(run.rows, l), [&](size_t st) {
             for (Vr a : accs)
                 g.cpyImm16(a, 0);
-            timedLoop(core, dim, [&](size_t d) {
-                core.chargeRaw(ingestCycles(t, true));
-                if (planes)
-                    planes->ingest(core, vmStage, st, d);
-                g.load16(vrEmb, vmStage);
-                uint16_t imms[8];
-                for (size_t i = 0; i < run.lanes.size(); ++i)
-                    imms[i] = static_cast<uint16_t>(
-                        queries[run.lanes[i]][d]);
-                g.macImmS16(vrEmb, vrQ, vrT, accs.data(), imms,
-                            run.lanes.size());
-            });
+            macPlanes(core, ingestCycles(t, true), vmStage, vrEmb, vrQ,
+                      vrT, accs.data(), accs.size(), imms.data(),
+                      planes ? planes->plane(st, 0) : 0,
+                      planes ? planes->lanes(st) : 0, dim);
 
             // AND the admit plane into the match mask: one
             // negated-mask select per score VR writes the masked-out
@@ -988,22 +984,25 @@ RagRetriever::retrieveTemporal(const std::vector<int16_t> &query,
     // ---- distance calculation ----------------------------------------
     std::vector<Hit> candidates;
     double topk_cycles = 0.0;
+    const std::vector<uint16_t> imms(query.begin(), query.end());
     timedLoop(core, supertiles, [&](size_t st) {
         g.cpyImm16(vrAcc, 0);
-        timedLoop(core, dim, [&](size_t d) {
-            core.chargeRaw(ingestCycles(t, coalesce));
-            if (planes)
-                planes->ingest(core, vmStage, st, d);
-            g.load16(vrEmb, vmStage);
-            if (bf_query) {
-                uint16_t imm = static_cast<uint16_t>(query[d]);
-                g.macImmS16(vrEmb, vrQ, vrT, &vrAcc, &imm, 1);
-            } else {
+        if (bf_query) {
+            macPlanes(core, ingestCycles(t, coalesce), vmStage, vrEmb, vrQ,
+                      vrT, &vrAcc, 1, imms.data(),
+                      planes ? planes->plane(st, 0) : 0,
+                      planes ? planes->lanes(st) : 0, dim);
+        } else {
+            timedLoop(core, dim, [&](size_t d) {
+                core.chargeRaw(ingestCycles(t, coalesce));
+                if (planes)
+                    planes->ingest(core, vmStage, st, d);
+                g.load16(vrEmb, vmStage);
                 g.cpySubgrp16Grp(vrQ, vrQfull, l, 1, d);
                 g.mulS16(vrT, vrEmb, vrQ);
                 g.addS16(vrAcc, vrAcc, vrT);
-            }
-        });
+            });
+        }
         g.xor16(vrAcc, vrAcc, vrBias);
 
         // Inline per-super-tile top-k (scores stay resident);

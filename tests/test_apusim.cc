@@ -249,6 +249,10 @@ TEST_F(ApuCoreTest, RepeatScopesMultiplyCycles)
         core.dmaL2ToL1(0);
     }
     EXPECT_DOUBLE_EQ(core.stats().cycles(), 50 * one);
+
+    // A repeat factor is a whole loop count.
+    EXPECT_DEATH(core.stats().pushRepeat(0.5), "not a positive whole");
+    EXPECT_DEATH(core.stats().pushRepeat(0), "not a positive whole");
 }
 
 TEST_F(ApuCoreTest, TagsAttributeCycles)

@@ -20,6 +20,8 @@
 #include "kernels/rag.hh"
 #include "kernels/rag_model.hh"
 #include "common/gsifloat.hh"
+#include "common/json.hh"
+#include "common/metrics.hh"
 
 using namespace cisram;
 using namespace cisram::baseline;
@@ -929,6 +931,46 @@ TEST(RagPins, FunctionalRaggedIvf)
         expectPin(batchPin(timing, pinQueries(spec, row.batch), o),
                   row.want, what + " TimingOnly");
     }
+}
+
+TEST(RagModes, OpIssueCountsMatchAcrossModes)
+{
+    // sim.op.issues counts simulated issues: a charge under a repeat
+    // scope of n counts n. So a Functional run, which charges some
+    // loops iteration by iteration, and a TimingOnly run, which
+    // charges every shape-invariant loop once under a repeat, count
+    // the same retrievals alike, op by op.
+    const RagCorpusSpec spec = raggedSpec(4);
+    auto cl = IvfClustering::build(spec, kPinSeed, {4, 8192, 4});
+    const auto q = genQuery(spec.dim, 1);
+    std::map<std::string, double> issues[2];
+    for (bool functional : {true, false}) {
+        PinRig rig(spec, functional);
+        auto shard = metrics::Registry::makeShard();
+        metrics::ShardScope scope(shard.get());
+        bool was = metrics::enabled();
+        metrics::setEnabled(true);
+        for (RagVariant v : allVariants)
+            rig.r.retrieve(q, v, kPinSeed);
+        rig.r.retrieveGf16(q, kPinSeed);
+        rig.r.retrieveBatch(pinQueries(spec, 1), kPinSeed);
+        rig.r.retrieveBatch(pinQueries(spec, 8), kPinSeed);
+        RagBatchOptions o;
+        o.search = {1, kFilterAll};
+        o.ivf = &cl;
+        rig.r.retrieveBatch(pinQueries(spec, 3), kPinSeed, o);
+        metrics::setEnabled(was);
+        const std::string prefix = "sim.op.issues{";
+        json::Value snap = shard->toJson();
+        for (const auto &[key, value] :
+             snap.asObject().find("counters")->asObject())
+            if (key.compare(0, prefix.size(), prefix) == 0)
+                issues[functional ? 0 : 1][key] = value.asNumber();
+    }
+    EXPECT_GE(issues[0].size(), 10u);
+    for (const auto &[key, n] : issues[0])
+        EXPECT_EQ(n, issues[1][key]) << key;
+    EXPECT_EQ(issues[0].size(), issues[1].size());
 }
 
 TEST(RagBatch, ResidentRunsAreCompactAndStagedOnce)

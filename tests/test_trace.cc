@@ -327,7 +327,7 @@ TEST(Metrics, PerOpCountersViaCharge)
     }
     metrics::setEnabled(false);
 
-    EXPECT_DOUBLE_EQ(oc.issues.value(), 1.0);
+    EXPECT_DOUBLE_EQ(oc.issues.value(), 4.0); // repeat-scaled
     EXPECT_DOUBLE_EQ(oc.cycles.value(), 40.0); // repeat-scaled
     EXPECT_DOUBLE_EQ(oc.bytes.value(), 128.0 * 4.0);
 }

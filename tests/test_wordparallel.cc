@@ -39,6 +39,7 @@
 #include "gvml/gvml.hh"
 #include "gvml/microcode.hh"
 #include "kernels/bmm.hh"
+#include "kernels/kernel_ctx.hh"
 #include "kernels/serving.hh"
 
 using namespace cisram;
@@ -660,6 +661,165 @@ TEST(FusedMac, Gf16MatchesUnfusedTriple)
     for (unsigned vr = 0; vr < dev.core(0).vr().numVrs(); ++vr)
         ASSERT_EQ(fused.data(Vr(vr)), plain.data(Vr(vr)))
             << "VR " << vr;
+}
+
+// ---- Plane loop: one charge pass and one lane pass == per plane ---------
+
+namespace {
+
+/**
+ * Give core 0's VRs and VMRs random heads of assorted extents and
+ * random tails, and core 1 the same, extents included.
+ */
+void
+randomTwinCores(ApuDevice &dev, Rng &rng)
+{
+    ApuCore &a = dev.core(0), &b = dev.core(1);
+    const size_t his[] = {0, 5, 1000, a.vr().length()};
+    size_t k = 0;
+    auto fill = [&](LaneVector &x, LaneVector &y) {
+        size_t hi = his[k++ % std::size(his)];
+        for (size_t i = 0; i < hi; ++i)
+            x.head()[i] = y.head()[i] = rng.nextU16();
+        uint16_t tail = rng.nextU16();
+        x.setExtent(hi, tail);
+        y.setExtent(hi, tail);
+    };
+    for (unsigned vr = 0; vr < a.vr().numVrs(); ++vr)
+        fill(a.vr().lanes(vr), b.vr().lanes(vr));
+    for (unsigned m = 0; m < a.l1().numVmrs(); ++m)
+        fill(a.l1().lanes(m), b.l1().lanes(m));
+}
+
+/**
+ * Cores 0 and 1 hold the same cycles and uops, and every VR and VMR
+ * the same extent and the same lanes.
+ */
+void
+expectTwinCores(ApuDevice &dev)
+{
+    ApuCore &a = dev.core(0), &b = dev.core(1);
+    EXPECT_EQ(a.stats().cycles(), b.stats().cycles());
+    EXPECT_EQ(a.stats().uops(), b.stats().uops());
+    auto same = [](const LaneVector &x, const LaneVector &y,
+                   const char *file, unsigned reg) {
+        ASSERT_EQ(x.hi(), y.hi()) << file << " " << reg;
+        ASSERT_EQ(x.tail(), y.tail()) << file << " " << reg;
+        ASSERT_EQ(x.full(), y.full()) << file << " " << reg;
+    };
+    for (unsigned vr = 0; vr < a.vr().numVrs(); ++vr)
+        same(a.vr().lanes(vr), b.vr().lanes(vr), "VR", vr);
+    for (unsigned m = 0; m < a.l1().numVmrs(); ++m)
+        same(a.l1().lanes(m), b.l1().lanes(m), "VMR", m);
+}
+
+} // namespace
+
+TEST(FusedMac, PlaneRunMatchesThePerPlaneLoop)
+{
+    // kernels::macPlanes (the plane loop charged once under a repeat
+    // of dim, then its lanes in one pass over the planes in place in
+    // L4) on core 0 against the per-plane sequence it stands for
+    // (ingest, load16, macImmS16 per plane) on core 1, from the same
+    // staged planes and registers. The planes start 512 bytes before
+    // a 64 KiB DeviceDram page, as compact staging aligns only to 512
+    // bytes, so planes of 7, 1 000 and 32 768 rows straddle a page.
+    constexpr size_t dim = 40;
+    constexpr uint64_t ingest = 37;
+    const uint64_t base = 3 * DeviceDram::pageBytes - 512;
+    const Vmr stage{0};
+    const Vr emb{0}, sq{1}, st{2};
+    const Vr batchAccs[8] = {Vr(8),  Vr(9),  Vr(10), Vr(11),
+                             Vr(12), Vr(13), Vr(14), Vr(15)};
+    const Vr temporalAcc[1] = {Vr(3)}; // retrieveTemporal's vrAcc
+    struct Case
+    {
+        size_t nq;
+        const Vr *accs;
+        size_t valid;
+        bool clear; ///< zero the accumulators first, as the scan does
+    };
+    std::vector<Case> cases;
+    for (size_t valid : {1, 7, 8, 1000, 32768})
+        for (size_t nq : {1, 3, 8})
+            cases.push_back({nq, batchAccs, valid, true});
+    cases.push_back({1, temporalAcc, 1000, true});
+    // Accumulators of random extents: each ends at the largest of the
+    // plane's and the earlier accumulators' extents.
+    cases.push_back({3, batchAccs, 1000, false});
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message()
+                     << "b" << c.nq << " valid " << c.valid
+                     << (c.clear ? "" : " uncleared")
+                     << (c.accs == temporalAcc ? " temporal" : ""));
+        ApuDevice dev;
+        Rng rng(c.valid * 16 + c.nq);
+        std::vector<uint16_t> planes(dim * c.valid), imms(dim * c.nq);
+        for (auto &x : planes)
+            x = rng.nextU16();
+        for (auto &x : imms)
+            x = rng.nextU16();
+        dev.l4().write(base, planes.data(), planes.size() * 2);
+        randomTwinCores(dev, rng);
+        Gvml g0(dev.core(0)), g1(dev.core(1));
+        for (size_t q = 0; c.clear && q < c.nq; ++q) {
+            g0.cpyImm16(c.accs[q], 0);
+            g1.cpyImm16(c.accs[q], 0);
+        }
+
+        kernels::macPlanes(dev.core(0), ingest, stage, emb, sq, st,
+                           c.accs, c.nq, imms.data(), base, c.valid, dim);
+
+        ApuCore &ref = dev.core(1);
+        for (size_t d = 0; d < dim; ++d) {
+            ref.chargeRaw(ingest);
+            LaneVector &slot = ref.l1().lanes(stage.idx);
+            dev.l4().read(base + 2 * d * c.valid, slot.head(), 2 * c.valid);
+            slot.setExtent(c.valid, 0);
+            g1.load16(emb, stage);
+            g1.macImmS16(emb, sq, st, c.accs, imms.data() + d * c.nq, c.nq);
+        }
+
+        if (c.clear) {
+            // The loop's end state in closed form: accs[q] += sum of
+            // plane d x imm (u16 wrap), stage and emb hold the last
+            // plane, sq the last immediate and st the last product.
+            ApuCore &core = dev.core(0);
+            const uint16_t *last = planes.data() + (dim - 1) * c.valid;
+            const uint16_t w = imms.back();
+            for (size_t q = 0; q < c.nq; ++q) {
+                const LaneVector &a = core.vr().lanes(c.accs[q].idx);
+                ASSERT_EQ(a.hi(), c.valid);
+                ASSERT_EQ(a.tail(), 0);
+                for (size_t i = 0; i < c.valid; ++i) {
+                    uint32_t sum = 0;
+                    for (size_t d = 0; d < dim; ++d)
+                        sum += uint32_t{planes[d * c.valid + i]} *
+                            imms[d * c.nq + q];
+                    ASSERT_EQ(a.lane(i), static_cast<uint16_t>(sum))
+                        << "acc " << q << " lane " << i;
+                }
+            }
+            for (const LaneVector *v :
+                 {&core.l1().lanes(stage.idx), &core.vr().lanes(emb.idx)}) {
+                ASSERT_EQ(v->hi(), c.valid);
+                ASSERT_EQ(v->tail(), 0);
+                ASSERT_TRUE(std::equal(last, last + c.valid, v->head()));
+            }
+            const LaneVector &vq = core.vr().lanes(sq.idx);
+            EXPECT_EQ(vq.hi(), 0u);
+            EXPECT_EQ(vq.tail(), w);
+            const LaneVector &vt = core.vr().lanes(st.idx);
+            ASSERT_EQ(vt.hi(), c.valid);
+            EXPECT_EQ(vt.tail(), 0);
+            for (size_t i = 0; i < c.valid; ++i)
+                ASSERT_EQ(vt.lane(i),
+                          static_cast<uint16_t>(uint32_t{last[i]} * w))
+                    << "lane " << i;
+        }
+        expectTwinCores(dev);
+    }
 }
 
 // ---- Lane extents: extent-aware ops == full-width evaluation ------------
