@@ -171,7 +171,7 @@ class ApuCore
  * RAII: inside the scope the core charges as TimingOnly does, with
  * no lane work; on exit it returns to its mode. A functional kernel
  * charges a loop this way and then evaluates the loop's lanes in one
- * pass (kernels::macPlanes).
+ * pass (kernels::chargeOnce).
  */
 class ScopedTimingOnly
 {

@@ -274,6 +274,36 @@ class Gvml
                       uint64_t planes, size_t valid, size_t n);
 
     /**
+     * The run form of the spatial mappings' tile loop, lanes only.
+     * For the n tiles first .. first + n - 1 of length() lanes staged
+     * back to back in L4 at `tiles` (tile j at tiles + 2 * j *
+     * length()), it leaves every register and extent exactly as this
+     * loop leaves them, with cpt = length() / pad:
+     *
+     *   for j in [first, first + n):
+     *     stage <- tile j: all length() lanes;
+     *     load16(emb, stage);
+     *     mulS16(t, emb, q);
+     *     addSubgrpS16(t, t, pad, 1);
+     *     xor16(t, t, bias);
+     *     score[(j * cpt + c) % length()] = t[c * pad] for c < heads;
+     *
+     * So each scattered lane holds a group head: the sum over d < pad
+     * of tile[c * pad + d] x q[c * pad + d] (mod 2^16), xor
+     * bias[c * pad]. `stage`, `emb` and `t` hold what the last tile
+     * leaves, and `score` is materialized.
+     *
+     * It charges nothing; the caller charges the loop
+     * (kernels::scoreTiles charges one iteration under a repeat of
+     * n). Each head is one dot over its group, read in place from L4;
+     * only the last tile is copied, into `stage` and `emb`, and
+     * evaluated full width into `t`. The five registers are distinct.
+     */
+    void scoreTilesS16(Vmr stage, Vr emb, Vr q, Vr t, Vr bias, Vr score,
+                       size_t pad, size_t heads, uint64_t tiles,
+                       size_t first, size_t n);
+
+    /**
      * GSI-float variant of macImmS16 (cpyImm16 + mulGf16 + addGf16)
      * for a single accumulator.
      */

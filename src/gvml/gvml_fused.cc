@@ -16,7 +16,9 @@
  * load16, macImmS16 per plane). It evaluates a supertile's lanes in
  * one pass per plane, reading the planes in place from L4; its caller
  * charges the loop once under a repeat count. It and macImmS16 share
- * one MAC lane loop.
+ * one MAC lane loop. scoreTilesS16 is the run form of the spatial
+ * mappings' tile loop in the same sense: it computes only the group
+ * heads each tile scatters into the score VR.
  */
 
 #include "gvml/gvml.hh"
@@ -25,8 +27,10 @@
 #include <cstring>
 #include <vector>
 
+#include "common/bitutils.hh"
 #include "common/gsifloat.hh"
 #include "common/trace.hh"
+#include "gvml/lanes.hh"
 
 namespace cisram::gvml {
 
@@ -45,6 +49,22 @@ macLanes(uint16_t *acc, const uint8_t *x, uint16_t w, size_t n)
         std::memcpy(&xi, x + 2 * i, 2);
         acc[i] = static_cast<uint16_t>(acc[i] + uint32_t{xi} * w);
     }
+}
+
+/**
+ * The sum of x[i] * q[i] (mod 2^16) for i < n, where x holds n u16
+ * lanes as bytes, loaded as macLanes loads them.
+ */
+uint16_t
+dotLanes(const uint8_t *x, const uint16_t *q, size_t n)
+{
+    uint16_t s = 0;
+    for (size_t i = 0; i < n; ++i) {
+        uint16_t xi;
+        std::memcpy(&xi, x + 2 * i, 2);
+        s = static_cast<uint16_t>(s + uint32_t{xi} * q[i]);
+    }
+    return s;
 }
 
 /**
@@ -159,6 +179,85 @@ Gvml::macPlanesS16(Vmr stage, Vr emb, Vr scratch_q, Vr scratch_t,
     e.widen(h);
     if (nq > 0)
         leaveScratch(vr, emb, scratch_q, scratch_t, imms[n * nq - 1]);
+}
+
+void
+Gvml::scoreTilesS16(Vmr stage, Vr emb, Vr q, Vr t, Vr bias, Vr score,
+                    size_t pad, size_t heads, uint64_t tiles,
+                    size_t first, size_t n)
+{
+    const size_t len = length();
+    const unsigned regs[] = {emb.idx, q.idx, t.idx, bias.idx, score.idx};
+    for (size_t i = 0; i < std::size(regs); ++i)
+        for (size_t j = i + 1; j < std::size(regs); ++j)
+            cisram_assert(regs[i] != regs[j],
+                          "tile-loop registers must be distinct");
+    cisram_assert(isPow2(pad) && pad <= len && heads <= len / pad,
+                  "tile of ", heads, " groups of ", pad, " lanes");
+    cisram_assert(tiles % 2 == 0, "tiles at odd L4 address ", tiles);
+    if (n == 0)
+        return;
+    // mulS16 and xor16 read a uniform q or bias as a scalar and widen
+    // a stored one to the tile's extent, which is every lane.
+    apu::VrFile &vr = core_.vr();
+    const apu::LaneVector &qv = vr.lanes(q.idx), &bv = vr.lanes(bias.idx);
+    if (qv.hi() != 0)
+        qv.widen(len);
+    if (bv.hi() != 0)
+        bv.widen(len);
+    std::vector<uint16_t> uniform;
+    const uint16_t *qs = qv.head();
+    if (qv.hi() == 0) {
+        uniform.assign(len, qv.tail());
+        qs = uniform.data();
+    }
+
+    // Head c of tile j is lane c * pad after the reduction: the dot of
+    // the tile's group c with q's, biased. Only the `heads` groups the
+    // loop scatters are read, in place; a group may straddle a page.
+    const apu::DeviceDram &l4 = core_.device().l4();
+    std::vector<uint16_t> &out = vr[score.idx];
+    std::vector<uint16_t> dots(heads);
+    const size_t cpt = len / pad;
+    for (size_t j = first; j < first + n; ++j) {
+        std::fill(dots.begin(), dots.end(), 0);
+        l4.visit(tiles + 2 * j * len, 2 * heads * pad,
+                 [&](size_t off, const uint8_t *p, size_t bytes) {
+                     if (!p) // a page never written: zero lanes
+                         return;
+                     // Pieces start at even offsets: whole lanes.
+                     for (size_t i = off / 2, e = (off + bytes) / 2;
+                          i < e;) {
+                         size_t c = i / pad;
+                         size_t stop = std::min(e, (c + 1) * pad);
+                         dots[c] = static_cast<uint16_t>(
+                             dots[c] + dotLanes(p + (2 * i - off), qs + i,
+                                                stop - i));
+                         i = stop;
+                     }
+                 });
+        for (size_t c = 0; c < heads; ++c)
+            out[(j * cpt + c) % len] =
+                static_cast<uint16_t>(dots[c] ^ bv.lane(c * pad));
+    }
+
+    // The last tile, where the loop leaves it: in stage and emb, and
+    // in t evaluated full width.
+    apu::LaneVector &s = core_.l1().lanes(stage.idx);
+    l4.read(tiles + 2 * (first + n - 1) * len, s.head(), 2 * len);
+    s.setExtent(len, s.tail());
+    apu::LaneVector &e = vr.lanes(emb.idx);
+    e.assign(s);
+    apu::LaneVector &tv = vr.lanes(t.idx);
+    uint16_t *w = tv.head();
+    const uint16_t *es = e.head();
+    for (size_t i = 0; i < len; ++i)
+        w[i] = static_cast<uint16_t>(uint32_t{es[i]} * qs[i]);
+    subgroupSums(w, len, pad, 1);
+    for (size_t i = 0; i < len; ++i)
+        w[i] ^= bv.lane(i);
+    tv.setExtent(len, static_cast<uint16_t>(
+                          (uint32_t{e.tail()} * qv.tail()) ^ bv.tail()));
 }
 
 void

@@ -11,6 +11,7 @@
 
 #include "common/bitutils.hh"
 #include "common/trace.hh"
+#include "gvml/lanes.hh"
 
 namespace cisram::gvml {
 
@@ -86,14 +87,15 @@ suffixSums(uint16_t *w, size_t n, size_t s)
     }
 }
 
+} // namespace
+
 /**
- * Every lane i of w[0, n) becomes the sum of w[i + m * s] over
- * m < grp / s with i + m * s < n, in two in-place passes: the strided
- * suffix sums S, then, ascending, w[i] = S[i] - S[i + grp] wherever
- * i + grp < n. The terms from i + grp on cancel exactly (u16
- * arithmetic wraps), and lane i + grp is read before the ascending
- * pass rewrites it. A vector shorter than a block runs as one
- * zero-padded block: zeros past n add nothing to any S.
+ * The two passes: the strided suffix sums S, then, ascending,
+ * w[i] = S[i] - S[i + grp] wherever i + grp < n. The terms from
+ * i + grp on cancel exactly (u16 arithmetic wraps), and lane i + grp
+ * is read before the ascending pass rewrites it. A vector shorter
+ * than a block runs as one zero-padded block: zeros past n add
+ * nothing to any S.
  */
 void
 subgroupSums(uint16_t *w, size_t n, size_t grp, size_t s)
@@ -118,8 +120,6 @@ subgroupSums(uint16_t *w, size_t n, size_t grp, size_t s)
     for (; i < e; ++i)
         w[i] = static_cast<uint16_t>(w[i] - w[i + grp]);
 }
-
-} // namespace
 
 void
 Gvml::addSubgrpS16(Vr dst, Vr src, size_t grp, size_t subgrp)

@@ -705,8 +705,9 @@ RagRetriever::retrieveBatch(
     // MAC (macPlanes), ingest the admit plane, then bias, mask and
     // extract k winners per lane (ids mapped to the run's positions)
     // before `merges` CP merges. The run's planes stay resident once
-    // staged; its admit plane (1 where row i may match) follows the
-    // batch's filter, so it is staged for the scan and freed after it.
+    // staged; its admit plane (1 where row i may match, every row
+    // when `admitted` is empty) follows the batch's filter, so its
+    // lanes are written straight into the admit slot.
     double topk_cycles = 0.0;
     auto scan = [&](const Run &run, const StagedPlanes::RowFn &row,
                     const std::function<bool(size_t)> &admitted,
@@ -717,11 +718,6 @@ RagRetriever::retrieveBatch(
         const StagedPlanes *planes =
             run.planes ? &stageOnce(*run.planes, dev, run.rows, dim, row)
                        : nullptr;
-        std::optional<StagedPlanes> admit;
-        if (planes)
-            admit.emplace(dev, run.rows, 1, [&](size_t i, int16_t *out) {
-                *out = admitted(i) ? 1 : 0;
-            });
         std::vector<Vr> accs;
         for (size_t q : run.lanes)
             accs.push_back(acc(q));
@@ -729,11 +725,17 @@ RagRetriever::retrieveBatch(
         for (size_t d = 0; fnl && d < dim; ++d)
             for (size_t q : run.lanes)
                 imms.push_back(static_cast<uint16_t>(queries[q][d]));
+        auto plane = [&](size_t) {
+            core.chargeRaw(ingestCycles(t, true));
+            g.load16(vrEmb, vmStage);
+            g.macImmS16(vrEmb, vrQ, vrT, accs.data(), imms.data(),
+                        accs.size());
+        };
         timedLoop(core, divCeil(run.rows, l), [&](size_t st) {
             for (Vr a : accs)
                 g.cpyImm16(a, 0);
-            macPlanes(core, ingestCycles(t, true), vmStage, vrEmb, vrQ,
-                      vrT, accs.data(), accs.size(), imms.data(),
+            macPlanes(core, plane, vmStage, vrEmb, vrQ, vrT, accs.data(),
+                      accs.size(), imms.data(),
                       planes ? planes->plane(st, 0) : 0,
                       planes ? planes->lanes(st) : 0, dim);
 
@@ -741,14 +743,23 @@ RagRetriever::retrieveBatch(
             // negated-mask select per score VR writes the masked-out
             // sentinel (biased 0x0000, a dot of -32768 no int16
             // embedding can produce) into excluded lanes, which
-            // extractTopK already skips.
+            // extractTopK already skips. The marks go straight into
+            // the slot as ingest leaves a plane: the rows, a zero tail.
             core.chargeRaw(ingestCycles(t, true));
-            if (admit)
-                admit->ingest(core, vmAdmit, st, 0);
+            size_t valid = fnl ? std::min(l, run.rows - st * l) : l;
+            if (planes) {
+                apu::LaneVector &slot = core.l1().lanes(vmAdmit.idx);
+                uint16_t *marks = slot.head();
+                if (admitted)
+                    for (size_t i = 0; i < valid; ++i)
+                        marks[i] = admitted(st * l + i);
+                else
+                    std::fill_n(marks, valid, 1);
+                slot.setExtent(valid, 0);
+            }
             g.load16(vrAdmit, vmAdmit);
 
             double before = core.stats().cycles();
-            size_t valid = fnl ? std::min(l, run.rows - st * l) : l;
             for (size_t q : run.lanes) {
                 g.xor16(acc(q), acc(q), vrBias);
                 g.cpyImm16Nmsk(acc(q), 0x0000, vrAdmit);
@@ -775,7 +786,7 @@ RagRetriever::retrieveBatch(
              [&](size_t i, int16_t *out) {
                  std::copy_n(cents + i * dim, dim, out);
              },
-             [](size_t) { return true; }, nprobe, 1, picked);
+             {}, nprobe, 1, picked);
         for (size_t q = 0; fnl && q < batch; ++q) {
             std::vector<uint32_t> dev_probes;
             for (const Hit &h : picked[q])
@@ -790,19 +801,21 @@ RagRetriever::retrieveBatch(
     for (const Run &run : runs) {
         // Admit marks: epoch liveness (tombstoned chunks keep their
         // staged position but never match) AND the metadata
-        // predicate; lanes past the last row ingest as 0.
+        // predicate; with neither, every row is admitted.
+        std::function<bool(size_t)> admitted;
+        if (mutated || filtered)
+            admitted = [&](size_t i) {
+                uint64_t p = run.position(i);
+                return corpus_.chunkLive(p) &&
+                    (!filtered ||
+                     baseline::passesFilter(
+                         filter, baseline::chunkLabel(
+                                     corpus_.globalChunk(p),
+                                     corpus_seed)));
+            };
         scan(run,
              corpusRows(corpus_, corpus_seed, run.positions, opts.rows),
-             [&](size_t i) {
-                 uint64_t p = run.position(i);
-                 return corpus_.chunkLive(p) &&
-                     (!filtered ||
-                      baseline::passesFilter(
-                          filter, baseline::chunkLabel(
-                                      corpus_.globalChunk(p),
-                                      corpus_seed)));
-             },
-             topK, run.lanes.size(), candidates);
+             admitted, topK, run.lanes.size(), candidates);
     }
     return finishPass(std::move(pass), timer.lap(), topk_cycles,
                       opts.overlapStream ? supertiles : 0,
@@ -879,38 +892,22 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
     std::vector<Hit> candidates;
     double topk_cycles = 0.0;
     const Vr vrScore{6};
+    uint64_t tiles = fnl ? resident_->tiles->addr : 0;
 
-    auto do_tile = [&](size_t tile_idx, size_t chunk_count) {
-        core.chargeRaw(ingestCycles(t, coalesce));
-        if (fnl) {
-            auto &slot = core.l1().slot(vmStage.idx);
-            dev.l4().read(resident_->tiles->addr + tile_idx * l * 2,
-                          slot.data(), l * 2);
-        }
-        g.load16(vrEmb, vmStage);
-        g.mulS16(vrT, vrEmb, vrQ);
-        g.addSubgrpS16(vrT, vrT, pad, 1);
-        g.xor16(vrT, vrT, vrBias);
-        // One RSP transfer per produced score.
-        core.chargeRaw(static_cast<double>(chunk_count) *
-                       t.move.pioStorePerElem);
-        if (fnl) {
-            auto &score = core.vr()[vrScore.idx];
-            const auto &tvals = core.vr()[vrT.idx];
-            for (size_t c = 0; c < chunk_count; ++c)
-                score[(tile_idx * cpt + c) % l] = tvals[c * pad];
-        }
-    };
-
-    // One score VR: its full tiles price alike and a ragged last
-    // tile runs once; then its top-k, the CP merge and the clear.
+    // One score VR: its full tiles price alike and a ragged last tile
+    // is a run of one (scoreTiles); then its top-k, the CP merge and
+    // the clear.
     auto score_vr = [&](size_t s) {
         size_t n = std::min(l, chunks - s * l);
         size_t first = s * (l / cpt);
-        timedLoop(core, n / cpt,
-                  [&](size_t i) { do_tile(first + i, cpt); });
+        auto run = [&](size_t tile, size_t count, size_t heads) {
+            scoreTiles(core, ingestCycles(t, coalesce),
+                       t.move.pioStorePerElem, vmStage, vrEmb, vrQ, vrT,
+                       vrBias, vrScore, pad, heads, tiles, tile, count);
+        };
+        run(first, n / cpt, cpt);
         if (n % cpt)
-            do_tile(first + n / cpt, n % cpt);
+            run(first + n / cpt, 1, n % cpt);
         double before = core.stats().cycles();
         for (Hit h : extractTopK(g, core, vrScore, topK, n)) {
             h.id += s * l;
@@ -985,24 +982,24 @@ RagRetriever::retrieveTemporal(const std::vector<int16_t> &query,
     std::vector<Hit> candidates;
     double topk_cycles = 0.0;
     const std::vector<uint16_t> imms(query.begin(), query.end());
+    // One plane: the query element broadcasts as an immediate
+    // (AllOpts) or is copied out of vrQfull (Opt1).
+    auto plane = [&](size_t d) {
+        core.chargeRaw(ingestCycles(t, coalesce));
+        g.load16(vrEmb, vmStage);
+        if (bf_query) {
+            g.macImmS16(vrEmb, vrQ, vrT, &vrAcc, imms.data() + d, 1);
+        } else {
+            g.cpySubgrp16Grp(vrQ, vrQfull, l, 1, d);
+            g.mulS16(vrT, vrEmb, vrQ);
+            g.addS16(vrAcc, vrAcc, vrT);
+        }
+    };
     timedLoop(core, supertiles, [&](size_t st) {
         g.cpyImm16(vrAcc, 0);
-        if (bf_query) {
-            macPlanes(core, ingestCycles(t, coalesce), vmStage, vrEmb, vrQ,
-                      vrT, &vrAcc, 1, imms.data(),
-                      planes ? planes->plane(st, 0) : 0,
-                      planes ? planes->lanes(st) : 0, dim);
-        } else {
-            timedLoop(core, dim, [&](size_t d) {
-                core.chargeRaw(ingestCycles(t, coalesce));
-                if (planes)
-                    planes->ingest(core, vmStage, st, d);
-                g.load16(vrEmb, vmStage);
-                g.cpySubgrp16Grp(vrQ, vrQfull, l, 1, d);
-                g.mulS16(vrT, vrEmb, vrQ);
-                g.addS16(vrAcc, vrAcc, vrT);
-            });
-        }
+        macPlanes(core, plane, vmStage, vrEmb, vrQ, vrT, &vrAcc, 1,
+                  imms.data(), planes ? planes->plane(st, 0) : 0,
+                  planes ? planes->lanes(st) : 0, dim);
         g.xor16(vrAcc, vrAcc, vrBias);
 
         // Inline per-super-tile top-k (scores stay resident);

@@ -22,6 +22,7 @@
 #include "common/gsifloat.hh"
 #include "common/json.hh"
 #include "common/metrics.hh"
+#include "common/trace.hh"
 
 using namespace cisram;
 using namespace cisram::baseline;
@@ -973,13 +974,52 @@ TEST(RagModes, OpIssueCountsMatchAcrossModes)
     EXPECT_EQ(issues[0].size(), issues[1].size());
 }
 
+TEST(RagModes, ChargeSpansMatchAcrossModesOnOneSupertile)
+{
+    // Each charge emits one trace span, so counting spans per op
+    // counts host charge calls. On a one-supertile ragged corpus of
+    // paper_rag's shape every loop a Functional run executes
+    // iteration by iteration has one iteration, except the per-winner
+    // extraction (gvml.maxIndexU16, apu.rspSet); every other op must
+    // charge as often in Functional mode as in TimingOnly mode, which
+    // charges each loop once. A loop charged per tile or per plane in
+    // Functional mode fails here.
+    const RagCorpusSpec spec{"paper-shape", 0, 16741, 368, 0, 4};
+    auto cl = IvfClustering::build(spec, kPinSeed, {4, 8192, 4});
+    const auto q = genQuery(spec.dim, 1);
+    std::map<std::string, size_t> spans[2];
+    for (bool functional : {true, false}) {
+        PinRig rig(spec, functional);
+        std::vector<trace::Event> events;
+        trace::Tracer::get().enable("/tmp/cisram_test_rag_spans.json");
+        {
+            trace::EventSinkScope sink(&events);
+            for (RagVariant v : allVariants)
+                rig.r.retrieve(q, v, kPinSeed);
+            rig.r.retrieveBatch(pinQueries(spec, 1), kPinSeed);
+            rig.r.retrieveBatch(pinQueries(spec, 8), kPinSeed);
+            RagBatchOptions o;
+            o.search = {1, kFilterAll};
+            o.ivf = &cl;
+            rig.r.retrieveBatch(pinQueries(spec, 3), kPinSeed, o);
+        }
+        trace::Tracer::get().disable();
+        for (const trace::Event &e : events)
+            if (e.phase == 'X' && e.name != "gvml.maxIndexU16" &&
+                e.name != "apu.rspSet")
+                ++spans[functional ? 0 : 1][e.name];
+    }
+    EXPECT_GE(spans[0].size(), 10u);
+    EXPECT_EQ(spans[0], spans[1]);
+}
+
 TEST(RagBatch, ResidentRunsAreCompactAndStagedOnce)
 {
     // One query at nprobe = K probes all four ~10 K-chunk lists: the
     // first call stages the centroid run and the four list runs in
     // exactly rows x dim u16 each (a full-width supertile is
-    // (dim + 1) x 32 K lanes) and keeps them; each run's admit plane,
-    // one u16 per row, is freed after its scan. A second call stages
+    // (dim + 1) x 32 K lanes) and keeps them; admit marks go straight
+    // into their L1 slot and take no L4. A second call stages
     // nothing, and the destructor frees every run.
     const RagCorpusSpec spec = raggedSpec(4);
     auto cl = IvfClustering::build(spec, kPinSeed, {4, 8192, 4});

@@ -719,16 +719,19 @@ TEST(FusedMac, PlaneRunMatchesThePerPlaneLoop)
 {
     // kernels::macPlanes (the plane loop charged once under a repeat
     // of dim, then its lanes in one pass over the planes in place in
-    // L4) on core 0 against the per-plane sequence it stands for
-    // (ingest, load16, macImmS16 per plane) on core 1, from the same
-    // staged planes and registers. The planes start 512 bytes before
-    // a 64 KiB DeviceDram page, as compact staging aligns only to 512
-    // bytes, so planes of 7, 1 000 and 32 768 rows straddle a page.
+    // L4) on core 0 against the per-plane sequence it stands for on
+    // core 1, from the same staged planes and registers. Two bodies:
+    // ingest, load16 and macImmS16 (every batch scan, and AllOpts),
+    // and Opt1's ingest, load16, broadcast of query element d out of
+    // qfull, mulS16 and addS16 into a cleared accumulator. The planes
+    // start 512 bytes before a 64 KiB DeviceDram page, as compact
+    // staging aligns only to 512 bytes, so planes of 7, 1 000 and
+    // 32 768 rows straddle a page.
     constexpr size_t dim = 40;
     constexpr uint64_t ingest = 37;
     const uint64_t base = 3 * DeviceDram::pageBytes - 512;
     const Vmr stage{0};
-    const Vr emb{0}, sq{1}, st{2};
+    const Vr emb{0}, sq{1}, st{2}, qfull{5};
     const Vr batchAccs[8] = {Vr(8),  Vr(9),  Vr(10), Vr(11),
                              Vr(12), Vr(13), Vr(14), Vr(15)};
     const Vr temporalAcc[1] = {Vr(3)}; // retrieveTemporal's vrAcc
@@ -738,6 +741,7 @@ TEST(FusedMac, PlaneRunMatchesThePerPlaneLoop)
         const Vr *accs;
         size_t valid;
         bool clear; ///< zero the accumulators first, as the scan does
+        bool opt1 = false;
     };
     std::vector<Case> cases;
     for (size_t valid : {1, 7, 8, 1000, 32768})
@@ -747,14 +751,17 @@ TEST(FusedMac, PlaneRunMatchesThePerPlaneLoop)
     // Accumulators of random extents: each ends at the largest of the
     // plane's and the earlier accumulators' extents.
     cases.push_back({3, batchAccs, 1000, false});
+    for (size_t valid : {1, 1000, 32768})
+        cases.push_back({1, temporalAcc, valid, true, true});
 
     for (const Case &c : cases) {
         SCOPED_TRACE(testing::Message()
                      << "b" << c.nq << " valid " << c.valid
                      << (c.clear ? "" : " uncleared")
-                     << (c.accs == temporalAcc ? " temporal" : ""));
+                     << (c.accs == temporalAcc ? " temporal" : "")
+                     << (c.opt1 ? " opt1" : ""));
         ApuDevice dev;
-        Rng rng(c.valid * 16 + c.nq);
+        Rng rng(c.valid * 16 + c.nq + (c.opt1 ? 8 : 0));
         std::vector<uint16_t> planes(dim * c.valid), imms(dim * c.nq);
         for (auto &x : planes)
             x = rng.nextU16();
@@ -763,22 +770,37 @@ TEST(FusedMac, PlaneRunMatchesThePerPlaneLoop)
         dev.l4().write(base, planes.data(), planes.size() * 2);
         randomTwinCores(dev, rng);
         Gvml g0(dev.core(0)), g1(dev.core(1));
-        for (size_t q = 0; c.clear && q < c.nq; ++q) {
-            g0.cpyImm16(c.accs[q], 0);
-            g1.cpyImm16(c.accs[q], 0);
+        for (unsigned i : {0u, 1u}) {
+            ApuCore &core = dev.core(i);
+            for (size_t q = 0; c.clear && q < c.nq; ++q)
+                Gvml(core).cpyImm16(c.accs[q], 0);
+            // Opt1 reads query element d from qfull's lane d.
+            LaneVector &qf = core.vr().lanes(qfull.idx);
+            qf.widen(dim);
+            std::copy_n(imms.data(), dim, qf.head());
         }
+        auto body = [&](Gvml &g, size_t d) {
+            g.core().chargeRaw(ingest);
+            g.load16(emb, stage);
+            if (c.opt1) {
+                g.cpySubgrp16Grp(sq, qfull, g.length(), 1, d);
+                g.mulS16(st, emb, sq);
+                g.addS16(c.accs[0], c.accs[0], st);
+            } else {
+                g.macImmS16(emb, sq, st, c.accs, imms.data() + d * c.nq,
+                            c.nq);
+            }
+        };
 
-        kernels::macPlanes(dev.core(0), ingest, stage, emb, sq, st,
-                           c.accs, c.nq, imms.data(), base, c.valid, dim);
+        kernels::macPlanes(
+            dev.core(0), [&](size_t d) { body(g0, d); }, stage, emb, sq,
+            st, c.accs, c.nq, imms.data(), base, c.valid, dim);
 
-        ApuCore &ref = dev.core(1);
         for (size_t d = 0; d < dim; ++d) {
-            ref.chargeRaw(ingest);
-            LaneVector &slot = ref.l1().lanes(stage.idx);
+            LaneVector &slot = dev.core(1).l1().lanes(stage.idx);
             dev.l4().read(base + 2 * d * c.valid, slot.head(), 2 * c.valid);
             slot.setExtent(c.valid, 0);
-            g1.load16(emb, stage);
-            g1.macImmS16(emb, sq, st, c.accs, imms.data() + d * c.nq, c.nq);
+            body(g1, d);
         }
 
         if (c.clear) {
@@ -817,6 +839,84 @@ TEST(FusedMac, PlaneRunMatchesThePerPlaneLoop)
                 ASSERT_EQ(vt.lane(i),
                           static_cast<uint16_t>(uint32_t{last[i]} * w))
                     << "lane " << i;
+        }
+        expectTwinCores(dev);
+    }
+}
+
+TEST(FusedMac, TileRunMatchesThePerTileLoop)
+{
+    // kernels::scoreTiles (the spatial tile loop charged once under a
+    // repeat of n, then only the scattered group heads, read in place
+    // from L4) on core 0 against the per-tile sequence on core 1: read
+    // the tile into the stage slot, load16, mulS16, addSubgrpS16(pad,
+    // 1), xor16 with the bias, scatter the heads. The tiles start 512
+    // bytes before a 64 KiB page, so every tile straddles one, and at
+    // pad 512 so does each tile's first chunk. Tiles from `first` =
+    // cpt on fill score VR 1, whose lanes wrap (% L). Registers keep
+    // randomTwinCores' extents: the production assignment holds a
+    // stored q and a uniform bias, the other a uniform q and a
+    // stored bias.
+    constexpr size_t L = 32768;
+    constexpr uint64_t ingest = 37, pio = 61;
+    const uint64_t base = 3 * DeviceDram::pageBytes - 512;
+    const Vmr stage{0};
+    struct Regs
+    {
+        Vr emb, q, t, bias, score;
+    };
+    const Regs assignments[] = {{Vr(0), Vr(1), Vr(2), Vr(4), Vr(6)},
+                                {Vr(3), Vr(8), Vr(9), Vr(5), Vr(10)}};
+    struct Case
+    {
+        size_t pad, first, n, heads;
+    };
+    std::vector<Case> cases;
+    for (size_t pad : {64, 512}) {
+        size_t cpt = L / pad;
+        cases.push_back({pad, 0, 1, cpt});
+        cases.push_back({pad, 0, 7, cpt});
+        cases.push_back({pad, 0, cpt, cpt}); // a full score VR
+        cases.push_back({pad, 7, 1, 37});    // a ragged last tile
+        cases.push_back({pad, cpt, 3, cpt}); // score VR 1
+        cases.push_back({pad, cpt + 3, 1, 5});
+    }
+
+    for (size_t k = 0; k < cases.size(); ++k) {
+        const Case &c = cases[k];
+        const Regs &r = assignments[k % 2];
+        SCOPED_TRACE(testing::Message()
+                     << "pad " << c.pad << " tiles " << c.first << "+"
+                     << c.n << " heads " << c.heads << " regs " << k % 2);
+        ApuDevice dev;
+        Rng rng(k + 1);
+        std::vector<uint16_t> tile(L);
+        for (size_t j = c.first; j < c.first + c.n; ++j) {
+            for (auto &x : tile)
+                x = rng.nextU16();
+            dev.l4().write(base + 2 * j * L, tile.data(), 2 * L);
+        }
+        randomTwinCores(dev, rng);
+
+        kernels::scoreTiles(dev.core(0), ingest, pio, stage, r.emb, r.q,
+                            r.t, r.bias, r.score, c.pad, c.heads, base,
+                            c.first, c.n);
+
+        ApuCore &ref = dev.core(1);
+        Gvml g1(ref);
+        for (size_t j = c.first; j < c.first + c.n; ++j) {
+            ref.chargeRaw(ingest);
+            dev.l4().read(base + 2 * j * L, ref.l1().slot(stage.idx).data(),
+                          2 * L);
+            g1.load16(r.emb, stage);
+            g1.mulS16(r.t, r.emb, r.q);
+            g1.addSubgrpS16(r.t, r.t, c.pad, 1);
+            g1.xor16(r.t, r.t, r.bias);
+            ref.chargeRaw(c.heads * pio);
+            std::vector<uint16_t> &score = g1.data(r.score);
+            const std::vector<uint16_t> &t = g1.data(r.t);
+            for (size_t h = 0; h < c.heads; ++h)
+                score[(j * (L / c.pad) + h) % L] = t[h * c.pad];
         }
         expectTwinCores(dev);
     }
