@@ -198,6 +198,24 @@ elapsedSeconds(std::chrono::steady_clock::time_point t0)
 }
 
 /**
+ * Median host seconds of five calls of `call`, each timed alone: the
+ * steady cost of a warm call, past the warm-up the first calls after
+ * staging still pay.
+ */
+double
+medianWarmSeconds(const std::function<void()> &call)
+{
+    std::vector<double> secs;
+    for (int i = 0; i < 5; ++i) {
+        auto t0 = std::chrono::steady_clock::now();
+        call();
+        secs.push_back(elapsedSeconds(t0));
+    }
+    std::sort(secs.begin(), secs.end());
+    return secs[secs.size() / 2];
+}
+
+/**
  * Lane-extent identity over the per-supertile op sequence of
  * RagRetriever::retrieveBatch, for one ragged supertile of 1000
  * corpus rows at batch 2: plane ingest (the rows as the slot's head,
@@ -450,7 +468,7 @@ runSimMicroReport()
     report.scalar("lane_extent_identity",
                   laneExtentIdentity() ? 1.0 : 0.0);
 
-    // Host time of one warm functional batch-1 retrieveBatch over a
+    // Host time of a warm functional batch-1 retrieveBatch over a
     // 1 024-row shard (informational: varies by machine).
     {
         apu::ApuDevice dev;
@@ -460,14 +478,13 @@ runSimMicroReport()
         const std::vector<std::vector<int16_t>> qs = {
             baseline::genQuery(shard.dim, 1)};
         r.retrieveBatch(qs, 77); // stages the shard's planes
-        auto t0 = std::chrono::steady_clock::now();
-        auto res = r.retrieveBatch(qs, 77);
-        benchmark::DoNotOptimize(res);
-        report.scalar("rag_scan_host_wall_seconds", elapsedSeconds(t0));
+        report.scalar("rag_scan_host_wall_seconds", medianWarmSeconds([&] {
+                          benchmark::DoNotOptimize(r.retrieveBatch(qs, 77));
+                      }));
     }
 
-    // Host time of one warm functional retrieve per Table 8 mapping
-    // over a 16 384-chunk corpus (informational: varies by machine).
+    // Host time of a warm functional retrieve per Table 8 mapping over
+    // a 16 384-chunk corpus (informational: varies by machine).
     {
         apu::ApuDevice dev;
         dram::DramSystem hbm(dram::hbm2eConfig());
@@ -479,13 +496,12 @@ runSimMicroReport()
                              RagVariant::Opt2, RagVariant::Opt3,
                              RagVariant::AllOpts}) {
             r.retrieve(q, v, 77); // stages the mapping's layout
-            auto t0 = std::chrono::steady_clock::now();
-            auto res = r.retrieve(q, v, 77);
-            benchmark::DoNotOptimize(res);
             std::string key = kernels::ragVariantName(v);
             std::replace(key.begin(), key.end(), '-', '_');
             report.scalar("rag_mapping_host_wall_seconds." + key,
-                          elapsedSeconds(t0));
+                          medianWarmSeconds([&] {
+                              benchmark::DoNotOptimize(r.retrieve(q, v, 77));
+                          }));
         }
     }
 

@@ -186,9 +186,16 @@ IndexFlatI16::search(const int16_t *query, size_t k,
     return mergeHitHeaps(parts, k);
 }
 
+namespace {
+
+/**
+ * searchEpochFlat's scan: base rows read from `base` when given,
+ * every other row generated.
+ */
 std::vector<Hit>
-searchEpochFlat(const RagCorpusSpec &spec, uint64_t corpus_seed,
-                const int16_t *query, size_t k, uint16_t filter_mask)
+scanEpoch(const IndexFlatI16 *base, const RagCorpusSpec &spec,
+          uint64_t corpus_seed, const int16_t *query, size_t k,
+          uint16_t filter_mask)
 {
     if (spec.epochView) {
         cisram_assert(spec.numChunks ==
@@ -196,9 +203,10 @@ searchEpochFlat(const RagCorpusSpec &spec, uint64_t corpus_seed,
                               spec.epochView->inserted.size(),
                       "epoch view / spec chunk count mismatch");
     }
+    size_t stored = base ? base->size() : 0;
     std::vector<Hit> heap;
     heap.reserve(k + 1);
-    std::vector<int16_t> row(spec.dim);
+    std::vector<int16_t> scratch(spec.dim);
     for (size_t local = 0; local < spec.numChunks; ++local) {
         if (!spec.chunkLive(local))
             continue;
@@ -206,7 +214,11 @@ searchEpochFlat(const RagCorpusSpec &spec, uint64_t corpus_seed,
         if (filter_mask != kFilterAll &&
             !passesFilter(filter_mask, chunkLabel(chunk, corpus_seed)))
             continue;
-        genEmbeddingRow(spec, chunk, corpus_seed, row.data());
+        const int16_t *row = scratch.data();
+        if (local < stored)
+            row = base->raw().data() + local * spec.dim;
+        else
+            genEmbeddingRow(spec, chunk, corpus_seed, scratch.data());
         int64_t s = 0;
         for (size_t d = 0; d < spec.dim; ++d)
             s += static_cast<int32_t>(query[d]) * row[d];
@@ -214,6 +226,28 @@ searchEpochFlat(const RagCorpusSpec &spec, uint64_t corpus_seed,
     }
     hitFinalize(heap);
     return heap;
+}
+
+} // namespace
+
+std::vector<Hit>
+searchEpochFlat(const RagCorpusSpec &spec, uint64_t corpus_seed,
+                const int16_t *query, size_t k, uint16_t filter_mask)
+{
+    return scanEpoch(nullptr, spec, corpus_seed, query, k, filter_mask);
+}
+
+std::vector<Hit>
+searchEpochFlat(const IndexFlatI16 &base, const RagCorpusSpec &spec,
+                uint64_t corpus_seed, const int16_t *query, size_t k,
+                uint16_t filter_mask)
+{
+    cisram_assert(base.size() == spec.baseChunks() &&
+                      base.dim() == spec.dim,
+                  "searchEpochFlat: ", base.size(), " base rows x ",
+                  base.dim(), " dims for a corpus of ", spec.baseChunks(),
+                  " x ", spec.dim);
+    return scanEpoch(&base, spec, corpus_seed, query, k, filter_mask);
 }
 
 } // namespace cisram::baseline

@@ -134,7 +134,7 @@ class IndexFlatI16
 
 /**
  * Exact top-k over a (possibly epoch-overlaid) hash-generated corpus
- * slice, regenerating each row on the fly instead of materializing
+ * slice, generating each row on the fly instead of materializing
  * the index. This is the golden twin of the device's epoch-aware
  * retrieval: tombstoned chunks are skipped, inserted chunks scanned
  * at their overlay positions, and ids returned spec-LOCAL (matching
@@ -143,6 +143,18 @@ class IndexFlatI16
  * tie rule hitWorseThan — so hits bit-compare against the APU path.
  */
 std::vector<Hit> searchEpochFlat(const RagCorpusSpec &spec,
+                                 uint64_t corpus_seed,
+                                 const int16_t *query, size_t k,
+                                 uint16_t filter_mask = kFilterAll);
+
+/**
+ * The same scan with the base rows read from `base` (row i is local
+ * position i: the spec's base rows at `corpus_seed`, such as a
+ * shard's golden); only an epoch's inserts are generated. Equal to
+ * the generating form on the same rows.
+ */
+std::vector<Hit> searchEpochFlat(const IndexFlatI16 &base,
+                                 const RagCorpusSpec &spec,
                                  uint64_t corpus_seed,
                                  const int16_t *query, size_t k,
                                  uint16_t filter_mask = kFilterAll);

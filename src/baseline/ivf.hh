@@ -28,10 +28,12 @@
  * it separates topics cleanly.
  *
  * Both build entry points run the same training over a row source:
- * one generates rows from (spec, seed), the other reads the rows of
- * a flat index, such as the fleet router's per-shard golden. Flat
- * row i is spec-local chunk i, so the two agree bit for bit on the
- * same rows, and a shard's rows are generated once.
+ * one generates rows from (spec, seed), for a corpus with no row
+ * store (a TimingOnly fleet's shards); the other reads the corpus's
+ * row store, a flat index such as the fleet router's per-shard
+ * golden, which the shard's retrievers and CPU goldens read too.
+ * Flat row i is spec-local chunk i, so the two agree bit for bit on
+ * the same rows, and a shard's rows are generated once.
  *
  * The `nprobe = numLists` identity invariant: probing every list
  * scans exactly the same chunk set as the exhaustive path, so the
@@ -70,13 +72,17 @@ struct IvfBuildConfig
 class IvfClustering
 {
   public:
-    /** Train centroids and assign every chunk. Pure in its inputs. */
+    /**
+     * Train centroids and assign every chunk, generating each row.
+     * Pure in its inputs; where the corpus has a row store, train
+     * from it instead.
+     */
     static IvfClustering build(const RagCorpusSpec &spec,
                                uint64_t seed,
                                const IvfBuildConfig &cfg = {});
 
     /**
-     * The same training over a materialized corpus: flat row i is
+     * The same training over a corpus's row store: flat row i is
      * spec-local chunk i. Equal to build(spec, seed, cfg) when
      * `flat` holds that spec's rows at that seed.
      */

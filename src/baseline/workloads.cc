@@ -1,5 +1,7 @@
 #include "baseline/workloads.hh"
 
+#include <atomic>
+
 namespace cisram::baseline {
 
 const std::vector<RagCorpusSpec> &
@@ -96,10 +98,23 @@ chunkLabel(uint64_t chunk, uint64_t seed)
                                  kNumChunkLabels);
 }
 
+namespace {
+
+std::atomic<uint64_t> g_rowsGenerated{0};
+
+} // namespace
+
+uint64_t
+rowsGenerated()
+{
+    return g_rowsGenerated.load(std::memory_order_relaxed);
+}
+
 void
 genEmbeddingRow(const RagCorpusSpec &spec, uint64_t chunk,
                 uint64_t seed, int16_t *out)
 {
+    g_rowsGenerated.fetch_add(1, std::memory_order_relaxed);
     if (spec.topics == 0) {
         for (uint64_t d = 0; d < spec.dim; ++d)
             out[d] = embeddingValue(chunk, d, seed);

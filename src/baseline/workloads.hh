@@ -97,6 +97,13 @@ struct RagCorpusSpec
      */
     const CorpusEpochView *epochView = nullptr;
 
+    /** Local positions before any epoch's inserts: the base rows. */
+    size_t
+    baseChunks() const
+    {
+        return epochView ? epochView->baseChunks : numChunks;
+    }
+
     /** Global chunk id of local position `local` under the view. */
     uint64_t
     globalChunk(uint64_t local) const
@@ -161,10 +168,18 @@ passesFilter(uint16_t filter_mask, uint16_t label)
  * Materialize one chunk's embedding row into `out` (dim elements).
  * `chunk` is global. Equivalent to dim calls of embeddingValueFor but
  * hoists the per-chunk topic lookup, which matters when an index
- * build or ground-truth scan walks millions of chunks.
+ * build or ground-truth scan walks millions of chunks. Each call
+ * counts one row in rowsGenerated().
  */
 void genEmbeddingRow(const RagCorpusSpec &spec, uint64_t chunk,
                      uint64_t seed, int16_t *out);
+
+/**
+ * Rows genEmbeddingRow has generated in this process, across all
+ * threads: a deterministic count of generation work, so a test can
+ * pin how often a corpus's rows are generated.
+ */
+uint64_t rowsGenerated();
 
 /** Materialize embeddings for chunks [first, first+count). */
 std::vector<int16_t> genEmbeddings(const RagCorpusSpec &spec,

@@ -16,7 +16,9 @@ namespace cisram::kernels {
 
 using apu::ApuCore;
 using apu::ApuDevice;
+using baseline::genEmbeddingRow;
 using baseline::Hit;
+using baseline::IndexFlatI16;
 using baseline::RagCorpusSpec;
 using gvml::Gvml;
 using gvml::Vmr;
@@ -89,13 +91,8 @@ struct StageTimer
 std::vector<Hit>
 mergeHits(std::vector<Hit> all, size_t k)
 {
-    std::sort(all.begin(), all.end(), [](const Hit &a, const Hit &b) {
-        if (a.score != b.score)
-            return a.score > b.score;
-        return a.id < b.id;
-    });
-    if (all.size() > k)
-        all.resize(k);
+    baseline::hitFinalize(all);
+    all.resize(std::min(k, all.size()));
     return all;
 }
 
@@ -203,9 +200,7 @@ class StagedPlanes
         : l_(dev.spec().vrLength), rows_(rows), dim_(dim),
           mem_(dev, rows * dim * 2)
     {
-        cisram_assert(rows <= (size_t(1) << 21),
-                      "functional corpus too large");
-        // Rows generate a block at a time and transpose into plane
+        // Rows come a block at a time and transpose into plane
         // segments, so the host holds one block of rows, not a
         // supertile.
         constexpr size_t kBlockRows = 512;
@@ -274,66 +269,66 @@ stageOnce(std::unique_ptr<StagedPlanes> &slot, ApuDevice &dev,
     return *slot;
 }
 
-/**
- * Dies unless `rows` holds `spec`'s base rows at `seed`: its size and
- * dim, and its first row against the generator.
- */
-void
-checkRows(const baseline::IndexFlatI16 &rows, const RagCorpusSpec &spec,
-          uint64_t seed)
-{
-    size_t base =
-        spec.epochView ? spec.epochView->baseChunks : spec.numChunks;
-    cisram_assert(rows.size() == base && rows.dim() == spec.dim,
-                  "RagBatchOptions::rows holds ", rows.size(), " rows x ",
-                  rows.dim(), " dims for a corpus of ", base,
-                  " base rows x ", spec.dim);
-    if (base == 0)
-        return;
-    std::vector<int16_t> first(spec.dim);
-    baseline::genEmbeddingRow(spec, spec.globalChunk(0), seed,
-                              first.data());
-    cisram_assert(std::equal(first.begin(), first.end(),
-                             rows.raw().begin()),
-                  "RagBatchOptions::rows row 0 is not chunk ",
-                  spec.globalChunk(0), " at seed ", seed,
-                  " (rows of another seed or shard)");
-}
-
-/**
- * Corpus rows: row i is local position positions[i] (i if null).
- * Base positions are copied from `base` when given, checked before
- * the first row, and every other row is generated.
- */
-StagedPlanes::RowFn
-corpusRows(const RagCorpusSpec &spec, uint64_t seed,
-           const uint32_t *positions = nullptr,
-           const baseline::IndexFlatI16 *base = nullptr)
-{
-    return [&spec, seed, positions, base,
-            checked = false](size_t i, int16_t *out) mutable {
-        uint64_t p = positions ? positions[i] : i;
-        if (base && !checked) {
-            checkRows(*base, spec, seed);
-            checked = true;
-        }
-        if (base && p < base->size())
-            std::copy_n(base->raw().data() + p * spec.dim, spec.dim, out);
-        else
-            baseline::genEmbeddingRow(spec, spec.globalChunk(p), seed, out);
-    };
-}
-
 } // namespace
 
 /**
- * The functional staged layouts of one corpus seed, each staged on
- * first use and freed with the set: a retriever stages a run once,
- * not once per call.
+ * The functional state of the retriever's one corpus seed: the row
+ * store, and each layout staged from it on first use and freed with
+ * the set (a retriever stages a run once, not once per call).
  */
 struct RagRetriever::Resident
 {
-    uint64_t seed;
+    /**
+     * Generates the base rows into `owned`, or dies unless `given`
+     * holds them: its size, dim and first row.
+     */
+    Resident(const RagCorpusSpec &spec, uint64_t seed,
+             const IndexFlatI16 *given)
+        : spec(spec), seed(seed),
+          owned(spec.dim, given ? std::vector<int16_t>()
+                                : baseline::genEmbeddings(
+                                      spec, spec.firstChunk,
+                                      spec.baseChunks(), seed)),
+          store(given ? *given : owned)
+    {
+        size_t base = spec.baseChunks();
+        if (!given)
+            return;
+        cisram_assert(store.size() == base && store.dim() == spec.dim,
+                      "RagRetriever rows hold ", store.size(), " rows x ",
+                      store.dim(), " dims for a corpus of ", base,
+                      " base rows x ", spec.dim);
+        if (base == 0)
+            return;
+        std::vector<int16_t> first(spec.dim);
+        genEmbeddingRow(spec, spec.globalChunk(0), seed, first.data());
+        cisram_assert(std::equal(first.begin(), first.end(),
+                                 store.raw().begin()),
+                      "RagRetriever rows: row 0 is not chunk ",
+                      spec.globalChunk(0), " at seed ", seed,
+                      " (rows of another seed or shard)");
+    }
+
+    /**
+     * Run row i: local position positions[i] (i if null), copied from
+     * the store, or generated if it is an epoch's insert.
+     */
+    StagedPlanes::RowFn
+    rows(const uint32_t *positions = nullptr) const
+    {
+        return [this, positions](size_t i, int16_t *out) {
+            uint64_t p = positions ? positions[i] : i;
+            if (p < store.size())
+                std::copy_n(store.raw().data() + p * spec.dim, spec.dim, out);
+            else
+                genEmbeddingRow(spec, spec.globalChunk(p), seed, out);
+        };
+    }
+
+    const RagCorpusSpec &spec;
+    const uint64_t seed;
+    IndexFlatI16 owned; ///< the store when none was given
+    const IndexFlatI16 &store;
     std::unique_ptr<StagedPlanes> corpus; ///< every position, in order
     std::unique_ptr<StagedPlanes> gf16;
     std::unique_ptr<L4Block> tiles; ///< spatial: padded, chunk-major
@@ -362,18 +357,22 @@ struct RagRetriever::Resident
 RagRetriever::Resident &
 RagRetriever::resident(uint64_t corpus_seed)
 {
-    if (!resident_ || resident_->seed != corpus_seed) {
-        resident_.reset(); // free the other seed's layouts first
-        resident_ = std::make_unique<Resident>(corpus_seed);
-    }
+    cisram_assert(corpus_.numChunks <= (size_t(1) << 21),
+                  "functional corpus too large");
+    if (!resident_)
+        resident_ = std::make_unique<Resident>(corpus_, corpus_seed, rows_);
+    cisram_assert(resident_->seed == corpus_seed,
+                  "RagRetriever serves corpus seed ", resident_->seed,
+                  "; a functional call at corpus seed ", corpus_seed,
+                  " needs a retriever of its own");
     return *resident_;
 }
 
 RagRetriever::RagRetriever(ApuDevice &dev, dram::DramSystem &hbm,
                            RagCorpusSpec corpus, size_t top_k,
-                           unsigned core_idx)
+                           unsigned core_idx, const IndexFlatI16 *rows)
     : dev(dev), hbm(hbm), corpus_(corpus), topK(top_k),
-      coreIdx_(core_idx)
+      coreIdx_(core_idx), rows_(rows)
 {
     cisram_assert(top_k >= 1 && top_k <= 64, "unreasonable top-k");
     cisram_assert(isPow2(dev.spec().vrLength));
@@ -490,15 +489,12 @@ RagRetriever::retrieveGf16(const std::vector<int16_t> &query,
     res.stages.loadEmbedding = hbm.streamReadSeconds(
         0, static_cast<uint64_t>(res.dramBytes));
 
-    // Dimension-major gf16 planes, and an admit plane (1 on every
-    // row) that masks a ragged supertile's padding lanes.
+    // Dimension-major gf16 planes.
     const StagedPlanes *planes = nullptr;
-    std::optional<StagedPlanes> admit;
     if (fnl) {
-        planes = &stageOnce(resident(corpus_seed).gf16, dev, chunks, dim,
-                            corpusRows(corpus_, corpus_seed), true);
-        admit.emplace(dev, chunks, 1,
-                      [](size_t, int16_t *out) { *out = 1; });
+        Resident &staged = resident(corpus_seed);
+        planes = &stageOnce(staged.gf16, dev, chunks, dim, staged.rows(),
+                            true);
     }
 
     core.stats().reset();
@@ -531,8 +527,11 @@ RagRetriever::retrieveGf16(const std::vector<int16_t> &query,
         size_t valid = std::min(l, chunks - st * l);
         if (valid < l) {
             core.chargeRaw(ingestCycles(t, true));
-            if (admit)
-                admit->ingest(core, vmAdmit, st, 0);
+            if (fnl) { // every row admitted, then a zero tail
+                apu::LaneVector &slot = core.l1().lanes(vmAdmit.idx);
+                std::fill_n(slot.head(), valid, 1);
+                slot.setExtent(valid, 0);
+            }
             g.load16(vrAdmit, vmAdmit);
             g.cpyImm16Nmsk(vrOrd, 0x0000, vrAdmit);
         }
@@ -814,7 +813,7 @@ RagRetriever::retrieveBatch(
                                      corpus_seed)));
             };
         scan(run,
-             corpusRows(corpus_, corpus_seed, run.positions, opts.rows),
+             staged ? staged->rows(run.positions) : StagedPlanes::RowFn(),
              admitted, topK, run.lanes.size(), candidates);
     }
     return finishPass(std::move(pass), timer.lap(), topk_cycles,
@@ -846,20 +845,18 @@ RagRetriever::retrieveSpatial(const std::vector<int16_t> &query,
     std::optional<L4Block> qbuf;
     bool fnl = core.functional();
     if (fnl) {
-        cisram_assert(chunks <= (size_t(1) << 21),
-                      "functional corpus too large");
-        std::unique_ptr<L4Block> &slot = resident(corpus_seed).tiles;
-        if (!slot) {
-            slot = std::make_unique<L4Block>(
+        Resident &staged = resident(corpus_seed);
+        if (!staged.tiles) {
+            staged.tiles = std::make_unique<L4Block>(
                 dev, divCeil(chunks, cpt) * l * 2);
-            auto row = corpusRows(corpus_, corpus_seed);
+            auto row = staged.rows();
             std::vector<int16_t> tile(l);
             for (size_t tl = 0; tl < divCeil(chunks, cpt); ++tl) {
                 std::fill(tile.begin(), tile.end(), 0);
                 for (size_t c = 0; c < cpt && tl * cpt + c < chunks; ++c)
                     row(tl * cpt + c, tile.data() + c * pad);
-                dev.l4().write(slot->addr + tl * l * 2, tile.data(),
-                               l * 2);
+                dev.l4().write(staged.tiles->addr + tl * l * 2,
+                               tile.data(), l * 2);
             }
         }
         qbuf.emplace(dev, pad * 2);
@@ -952,8 +949,8 @@ RagRetriever::retrieveTemporal(const std::vector<int16_t> &query,
     std::optional<L4Block> qbuf;
     bool fnl = core.functional();
     if (fnl) {
-        planes = &stageOnce(resident(corpus_seed).corpus, dev, chunks,
-                            dim, corpusRows(corpus_, corpus_seed));
+        Resident &staged = resident(corpus_seed);
+        planes = &stageOnce(staged.corpus, dev, chunks, dim, staged.rows());
         qbuf.emplace(dev, l * 2);
         std::vector<uint16_t> qv(l, 0);
         for (size_t d = 0; d < dim; ++d)

@@ -115,18 +115,6 @@ struct RagBatchOptions
      * batch brings a clustering of other content.
      */
     const baseline::IvfClustering *ivf = nullptr;
-
-    /**
-     * The corpus's base rows at the call's seed (row i is local
-     * position i; an epoch overlay's inserts are not in it), or null.
-     * Functional staging copies base positions from it instead of
-     * generating them, and generates only inserted rows. Staged runs
-     * are identical either way. Each staging that reads the rows
-     * first checks their size, dim and first row against the
-     * generator, so rows of another seed or shard die rather than
-     * answer.
-     */
-    const baseline::IndexFlatI16 *rows = nullptr;
 };
 
 /** Table 8 stage latencies, in seconds. */
@@ -189,12 +177,13 @@ struct RagRunResult
 };
 
 /**
- * One core's retrieval over one corpus shard. In functional mode the
- * corpus stays staged in L4, as the embeddings stay in device memory:
- * each layout (the exhaustive run, the spatial tiles, the gf16
- * planes, the IVF centroids and lists) is staged on first use and
- * freed by the destructor, or by a call with another corpus seed.
- * The timing model never charges staging; TimingOnly stages nothing.
+ * One core's retrieval over one corpus shard at one corpus seed. In
+ * functional mode the corpus stays staged in L4, as the embeddings
+ * stay in device memory: each layout (the exhaustive run, the
+ * spatial tiles, the gf16 planes, the IVF centroids and lists) is
+ * staged on first use by copying from one row store, and freed by
+ * the destructor. The timing model never charges staging; TimingOnly
+ * stages nothing and reads no rows.
  */
 class RagRetriever
 {
@@ -207,10 +196,21 @@ class RagRetriever
      *        one retriever per core; retrievers on distinct cores
      *        may run concurrently (each needs its own DramSystem —
      *        the HBM model is stateful).
+     * @param rows The corpus's base rows (row i is local position i;
+     *        an epoch overlay's inserts are not in it), non-owning,
+     *        such as a shard's golden; it must outlive the retriever.
+     *        The first functional call checks its size, dim and first
+     *        row against the generator at that call's seed, so rows
+     *        of another seed or shard die rather than answer. Null:
+     *        the first functional call generates the base rows once
+     *        into a store the retriever owns. Either way every layout
+     *        copies its base rows from the store and generates only
+     *        an epoch's inserts.
      */
     RagRetriever(apu::ApuDevice &dev, dram::DramSystem &hbm,
                  baseline::RagCorpusSpec corpus, size_t top_k = 5,
-                 unsigned core_idx = 0);
+                 unsigned core_idx = 0,
+                 const baseline::IndexFlatI16 *rows = nullptr);
 
     ~RagRetriever();
 
@@ -220,10 +220,11 @@ class RagRetriever
     /**
      * Serve one query.
      *
-     * Functional mode (device core 0 in Functional mode): the corpus
-     * must be small enough to materialize; embeddings are generated
-     * from `corpus_seed`, staged once for calls with that seed, and
-     * real hits are returned.
+     * Functional mode (the retriever's core in Functional mode): the
+     * corpus must be small enough to materialize; its layouts stage
+     * once from the row store and real hits are returned. The first
+     * functional call fixes the retriever's `corpus_seed`, and a
+     * functional call at another seed dies.
      * TimingOnly mode: stages are timed at any corpus scale.
      */
     RagRunResult retrieve(const std::vector<int16_t> &query,
@@ -260,7 +261,10 @@ class RagRetriever
 
   private:
     struct Resident;
-    /** The resident set of corpus_seed, replacing another seed's. */
+    /**
+     * The resident set. The first call fixes the seed and checks the
+     * given store or generates one; a call at another seed dies.
+     */
     Resident &resident(uint64_t corpus_seed);
 
     RagRunResult retrieveSpatial(const std::vector<int16_t> &query,
@@ -285,6 +289,7 @@ class RagRetriever
     size_t topK;
     unsigned coreIdx_;
     uint64_t idsAddr_; ///< 8 batch slots of topK u32 ids each
+    const baseline::IndexFlatI16 *rows_; ///< the given store, or null
     std::unique_ptr<Resident> resident_; ///< null until staged
 };
 

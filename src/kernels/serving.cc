@@ -166,7 +166,7 @@ DeviceServer::DeviceServer(apu::ApuDevice &dev, RagCorpusSpec spec,
       breaker_(cfg.breakerThreshold, cfg.breakerCooldown),
       hbm_(dram::hbm2eConfig()),
       retriever_(std::make_unique<RagRetriever>(dev, hbm_, spec,
-                                                cfg.topK, core)),
+                                                cfg.topK, core, golden)),
       host_(dev),
       qbuf_(std::in_place, host_,
             cfg.batch.maxBatch * spec.dim * 2),
@@ -424,7 +424,7 @@ DeviceServer::applyMutation(const RagCorpusSpec &epoch_spec,
     }
     hbm_.clearLatents(); // freshly re-encoded delta
     retriever_ = std::make_unique<RagRetriever>(dev_, hbm_, spec_,
-                                                cfg_.topK, core_);
+                                                cfg_.topK, core_, golden_);
     qbuf_.emplace(host_, cfg_.batch.maxBatch * spec_.dim * 2);
     epoch_ = new_epoch;
     metrics::Registry::get()
@@ -470,7 +470,7 @@ DeviceServer::forceReset()
     busySeconds_ += out.seconds;
     hbm_.clearLatents(); // the re-staged shard is freshly encoded
     retriever_ = std::make_unique<RagRetriever>(dev_, hbm_, spec_,
-                                                cfg_.topK, core_);
+                                                cfg_.topK, core_, golden_);
     qbuf_.emplace(host_, cfg_.batch.maxBatch * spec_.dim * 2);
 
     // A reset core has no failure history: fresh breaker, and the
@@ -748,7 +748,6 @@ DeviceServer::tryDeviceBatch(const std::vector<PendingQuery> &batch,
     opts.overlapStream = cfg_.overlapStream;
     opts.search = batch[0].search;
     opts.ivf = clustering_;
-    opts.rows = golden_;
 
     std::vector<RagRunResult> rs;
     st = host_.runTaskTimeoutOn(
@@ -811,11 +810,11 @@ DeviceServer::cpuFallback(const std::vector<int16_t> &query,
         // answer the query would otherwise have gotten.
         std::vector<baseline::Hit> hits;
         if (spec_.epochView)
-            // The static golden index predates the overlay; scan
-            // the epoch view directly (tombstones skipped, inserts
-            // at their overlay positions) so the fallback answers
-            // from exactly this server's staged snapshot.
-            hits = baseline::searchEpochFlat(spec_, corpusSeed_,
+            // The golden holds the base rows only; scan the epoch
+            // view over it (tombstones skipped, inserts generated at
+            // their overlay positions) so the fallback answers from
+            // exactly this server's staged snapshot.
+            hits = baseline::searchEpochFlat(*golden_, spec_, corpusSeed_,
                                              query.data(), cfg_.topK,
                                              search.filterMask);
         else if (search.nprobe > 0 && goldenIvf_)

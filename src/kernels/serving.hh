@@ -439,8 +439,11 @@ class DeviceServer
      * @param golden Exact CPU index for fallback answers; may be
      *        null (timing-only serving), in which case fallbacks
      *        return no ids but still charge CPU latency. When set,
-     *        it holds the shard's rows at `corpus_seed`, and the
-     *        retriever stages the corpus by copying them.
+     *        it holds the shard's base rows at `corpus_seed` and is
+     *        the row store of every retriever the server builds (at
+     *        construction, at a reset and at an epoch): each checks
+     *        it once and stages by copying its rows, and an epoch's
+     *        fallback scans it with the epoch's inserts.
      * @param clustering The shard's coarse quantizer: required when
      *        cfg.ivf.enabled, and null otherwise. Non-owning, like
      *        `golden`; both must outlive the server.

@@ -120,6 +120,11 @@ countGoldenMismatches(const std::vector<fleet::FleetOutcome> &outs,
                       const MutationPlan *plan, size_t topK,
                       kernels::RagSearchParams search)
 {
+    // Every epoch's base rows are the base corpus's: generated once,
+    // and each epoch's inserts generated as its golden scans them.
+    const baseline::IndexFlatI16 rows(
+        base.dim, baseline::genEmbeddings(base, base.firstChunk,
+                                          base.numChunks, corpus_seed));
     uint64_t mismatches = 0;
     for (const fleet::FleetOutcome &o : outs) {
         if (!o.ok)
@@ -139,7 +144,7 @@ countGoldenMismatches(const std::vector<fleet::FleetOutcome> &outs,
         std::vector<int16_t> q =
             baseline::genQuery(base.dim, a.querySeed);
         std::vector<baseline::Hit> golden =
-            baseline::searchEpochFlat(spec, corpus_seed, q.data(),
+            baseline::searchEpochFlat(rows, spec, corpus_seed, q.data(),
                                       topK, search.filterMask);
         bool bad = golden.size() != o.hits.size();
         for (size_t i = 0; !bad && i < golden.size(); ++i) {

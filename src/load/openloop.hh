@@ -99,9 +99,9 @@ OpenLoopResult runOpenLoop(fleet::Router &router,
 /**
  * Bit-compare every delivered outcome against its admission
  * epoch's golden: ids and scores both, against searchEpochFlat on
- * the epoch's whole-corpus spec (epoch 0 = `base`). Returns the
- * number of mismatching queries; 0 is the snapshot-consistency
- * certificate.
+ * the epoch's whole-corpus spec (epoch 0 = `base`), over the base
+ * corpus's rows generated once per call. Returns the number of
+ * mismatching queries; 0 is the snapshot-consistency certificate.
  */
 uint64_t
 countGoldenMismatches(const std::vector<fleet::FleetOutcome> &outs,

@@ -43,10 +43,16 @@ constexpr uint64_t kSeed = 7321;
  *  sentinel, so the filtered machinery engages. */
 constexpr uint16_t kAllLabels = 0x00ff;
 
+/**
+ * A clustered corpus at the paper's dim, or at a short `dim` for a
+ * test whose checks do not depend on it: functional staging and the
+ * lane pass cost rows x dim, which sets the sanitizer copies' time.
+ */
 RagCorpusSpec
-clusteredSpec(const char *label, size_t chunks, size_t topics)
+clusteredSpec(const char *label, size_t chunks, size_t topics,
+              size_t dim = 368)
 {
-    return RagCorpusSpec{label, 0, chunks, 368, 0, topics};
+    return RagCorpusSpec{label, 0, chunks, dim, 0, topics};
 }
 
 IndexFlatI16
@@ -69,16 +75,18 @@ expectSameHits(const std::vector<Hit> &got,
     }
 }
 
-/** One functional device batch; fresh device per call. */
+/**
+ * One functional device batch; fresh device per call, staging from
+ * `flat`, the corpus's rows at `seed`.
+ */
 std::vector<RagRunResult>
-deviceBatch(const RagCorpusSpec &spec, uint64_t seed,
-            const std::vector<std::vector<int16_t>> &queries,
-            size_t k, RagSearchParams search,
-            const IvfClustering *ivf)
+deviceBatch(const RagCorpusSpec &spec, const IndexFlatI16 &flat,
+            uint64_t seed, const std::vector<std::vector<int16_t>> &queries,
+            size_t k, RagSearchParams search, const IvfClustering *ivf)
 {
     apu::ApuDevice dev;
     dram::DramSystem hbm(dram::hbm2eConfig());
-    RagRetriever retriever(dev, hbm, spec, k);
+    RagRetriever retriever(dev, hbm, spec, k, 0, &flat);
     RagBatchOptions opts;
     opts.search = search;
     opts.ivf = ivf;
@@ -207,8 +215,7 @@ TEST(IvfGoldenTest, NprobeEqualsListsMatchesExhaustive)
 {
     auto spec = clusteredSpec("ivf-identity", 4000, 6);
     auto flat = buildFlat(spec, kSeed);
-    auto cl = IvfClustering::build(spec, kSeed,
-                                   IvfBuildConfig{16, 2048, 4});
+    auto cl = IvfClustering::build(flat, IvfBuildConfig{16, 2048, 4});
     IndexIvfI16 ivf(flat, cl, spec, kSeed);
 
     for (int qi = 0; qi < 4; ++qi) {
@@ -271,8 +278,7 @@ TEST(IvfDeviceTest, NprobeKFourWayBitCompare)
 {
     auto spec = clusteredSpec("ivf-4way", 5000, 6);
     auto flat = buildFlat(spec, kSeed);
-    auto cl = IvfClustering::build(spec, kSeed,
-                                   IvfBuildConfig{4, 2048, 4});
+    auto cl = IvfClustering::build(flat, IvfBuildConfig{4, 2048, 4});
     IndexIvfI16 ivf(flat, cl, spec, kSeed);
 
     std::vector<std::vector<int16_t>> queries;
@@ -283,11 +289,10 @@ TEST(IvfDeviceTest, NprobeKFourWayBitCompare)
     for (uint16_t mask : {kFilterAll, uint16_t(0x0029)}) {
         RagSearchParams exhaustive{0, mask};
         RagSearchParams probeAll{cl.numLists(), mask};
-        auto devEx =
-            deviceBatch(spec, kSeed, queries, 5, exhaustive,
-                        nullptr);
+        auto devEx = deviceBatch(spec, flat, kSeed, queries, 5,
+                                 exhaustive, nullptr);
         auto devIvf =
-            deviceBatch(spec, kSeed, queries, 5, probeAll, &cl);
+            deviceBatch(spec, flat, kSeed, queries, 5, probeAll, &cl);
         ASSERT_EQ(devEx.size(), queries.size());
         ASSERT_EQ(devIvf.size(), queries.size());
 
@@ -317,8 +322,7 @@ TEST(IvfDeviceTest, ProbeRestrictedMatchesGoldenIvf)
     // IVF golden — same probes, same filter, same ties.
     auto spec = clusteredSpec("ivf-probe2", 5000, 6);
     auto flat = buildFlat(spec, kSeed);
-    auto cl = IvfClustering::build(spec, kSeed,
-                                   IvfBuildConfig{6, 2048, 4});
+    auto cl = IvfClustering::build(flat, IvfBuildConfig{6, 2048, 4});
     IndexIvfI16 ivf(flat, cl, spec, kSeed);
 
     std::vector<std::vector<int16_t>> queries;
@@ -328,7 +332,7 @@ TEST(IvfDeviceTest, ProbeRestrictedMatchesGoldenIvf)
 
     for (uint16_t mask : {kFilterAll, uint16_t(0x0013)}) {
         RagSearchParams p{2, mask};
-        auto dev = deviceBatch(spec, kSeed, queries, 5, p, &cl);
+        auto dev = deviceBatch(spec, flat, kSeed, queries, 5, p, &cl);
         for (size_t qi = 0; qi < queries.size(); ++qi) {
             auto golden =
                 ivf.search(queries[qi].data(), 5, 2, mask);
@@ -341,19 +345,18 @@ TEST(IvfDeviceTest, ProbeRestrictedMatchesGoldenIvf)
 TEST(IvfDeviceTest, EmptyFilterYieldsNoSurvivorsOnDevice)
 {
     auto spec = clusteredSpec("ivf-empty", 3000, 4);
-    auto cl = IvfClustering::build(spec, kSeed,
-                                   IvfBuildConfig{4, 1024, 3});
+    auto flat = buildFlat(spec, kSeed);
+    auto cl = IvfClustering::build(flat, IvfBuildConfig{4, 1024, 3});
     std::vector<std::vector<int16_t>> queries{
         genQueryForTopic(spec, 0, 500, kSeed)};
 
-    auto devEx = deviceBatch(spec, kSeed, queries, 5,
+    auto devEx = deviceBatch(spec, flat, kSeed, queries, 5,
                              RagSearchParams{0, 0x0000}, nullptr);
     EXPECT_TRUE(devEx[0].hits.empty());
     EXPECT_EQ(devEx[0].topkIdsCount, 0u);
 
-    auto devIvf = deviceBatch(spec, kSeed, queries, 5,
-                              RagSearchParams{cl.numLists(),
-                                              0x0000},
+    auto devIvf = deviceBatch(spec, flat, kSeed, queries, 5,
+                              RagSearchParams{cl.numLists(), 0x0000},
                               &cl);
     EXPECT_TRUE(devIvf[0].hits.empty());
     EXPECT_EQ(devIvf[0].topkIdsCount, 0u);
@@ -362,15 +365,15 @@ TEST(IvfDeviceTest, EmptyFilterYieldsNoSurvivorsOnDevice)
 TEST(IvfDeviceTest, AllPassMaskBitIdenticalToUnfiltered)
 {
     auto spec = clusteredSpec("ivf-allpass", 3000, 4);
+    auto flat = buildFlat(spec, kSeed);
     std::vector<std::vector<int16_t>> queries{
         genQueryForTopic(spec, 1, 600, kSeed),
         genQueryForTopic(spec, 3, 601, kSeed)};
 
-    auto plain = deviceBatch(spec, kSeed, queries, 5,
+    auto plain = deviceBatch(spec, flat, kSeed, queries, 5,
                              RagSearchParams{}, nullptr);
-    auto allpass =
-        deviceBatch(spec, kSeed, queries, 5,
-                    RagSearchParams{0, kAllLabels}, nullptr);
+    auto allpass = deviceBatch(spec, flat, kSeed, queries, 5,
+                               RagSearchParams{0, kAllLabels}, nullptr);
     for (size_t qi = 0; qi < queries.size(); ++qi)
         expectSameHits(allpass[qi].hits, plain[qi].hits,
                        "all-pass == unfiltered (device)");
@@ -381,16 +384,25 @@ TEST(IvfDeviceTest, FilteredRaggedSupertileBoundaries)
     // Corpus sizes straddling the 32768-lane supertile boundary:
     // the ragged tail's padding lanes must never surface (their
     // biased-zero dots would outrank real negative scores), and
-    // the filter must stay exact across the word/bank edge.
+    // the filter must stay exact across the word/bank edge. Neither
+    // depends on the dim, so the corpora use a short one. A row
+    // depends only on its chunk id, the seed and the topics, so the
+    // smaller corpora are prefixes of the largest one's rows.
+    constexpr size_t kDim = 40;
+    const auto largest =
+        buildFlat(clusteredSpec("ivf-ragged", 32769, 5, kDim), kSeed);
     for (size_t chunks :
          {size_t(32767), size_t(32768), size_t(32769)}) {
-        auto spec = clusteredSpec("ivf-ragged", chunks, 5);
-        auto flat = buildFlat(spec, kSeed);
+        auto spec = clusteredSpec("ivf-ragged", chunks, 5, kDim);
+        const IndexFlatI16 flat(
+            spec.dim, std::vector<int16_t>(largest.raw().begin(),
+                                           largest.raw().begin() +
+                                               chunks * spec.dim));
         std::vector<std::vector<int16_t>> queries{
             genQueryForTopic(spec, 0, 700, kSeed)};
         uint16_t mask = 0x0021; // labels {0, 5}
 
-        auto dev = deviceBatch(spec, kSeed, queries, 5,
+        auto dev = deviceBatch(spec, flat, kSeed, queries, 5,
                                RagSearchParams{0, mask}, nullptr);
         auto golden = searchFilteredFlat(flat, spec, kSeed,
                                          queries[0].data(), 5,
@@ -406,13 +418,12 @@ TEST(IvfDeviceTest, FilteredRaggedSupertileBoundaries)
 
 TEST(IvfTieTest, AllEqualScoresPinLowestIdsEverywhere)
 {
-    // A zero query ties every chunk at dot 0. The k boundary then
-    // cuts through one giant tie group, and every producer must
-    // resolve it the same way: ids ascending.
-    auto spec = clusteredSpec("ivf-ties", 40000, 4);
+    // A zero query ties every chunk at dot 0, at any dim. The k
+    // boundary then cuts through one giant tie group, and every
+    // producer must resolve it the same way: ids ascending.
+    auto spec = clusteredSpec("ivf-ties", 40000, 4, 40);
     auto flat = buildFlat(spec, kSeed);
-    auto cl = IvfClustering::build(spec, kSeed,
-                                   IvfBuildConfig{4, 2048, 3});
+    auto cl = IvfClustering::build(flat, IvfBuildConfig{4, 2048, 3});
     IndexIvfI16 ivf(flat, cl, spec, kSeed);
 
     std::vector<int16_t> zero(spec.dim, 0);
@@ -436,13 +447,12 @@ TEST(IvfTieTest, AllEqualScoresPinLowestIdsEverywhere)
     // Device: the corpus spans two supertiles, so the boundary tie
     // crosses the per-VR extraction + CP merge path.
     std::vector<std::vector<int16_t>> queries{zero};
-    auto devEx = deviceBatch(spec, kSeed, queries, k,
+    auto devEx = deviceBatch(spec, flat, kSeed, queries, k,
                              RagSearchParams{}, nullptr);
     expectLowest(devEx[0].hits, "device exhaustive");
-    auto devIvf =
-        deviceBatch(spec, kSeed, queries, k,
-                    RagSearchParams{cl.numLists(), kFilterAll},
-                    &cl);
+    auto devIvf = deviceBatch(spec, flat, kSeed, queries, k,
+                              RagSearchParams{cl.numLists(), kFilterAll},
+                              &cl);
     expectLowest(devIvf[0].hits, "device IVF nprobe=K");
 }
 
@@ -829,4 +839,46 @@ TEST(IvfFleetTest, ReplicasShareTheShardClustering)
                 << what << " shard " << s << " after a reset";
         }
     }
+}
+
+TEST(IvfFleetTest, FunctionalRouterGeneratesEachRowOnce)
+{
+    // serve_functional's fleet shape, at a short dim: each shard's
+    // rows are generated once, into its golden; its clustering trains
+    // from them, and every replica's retriever stages its exhaustive
+    // run and each list from them after checking at most one row.
+    auto spec = clusteredSpec("ivf-rows", 4096, 8, 40);
+    fleet::FleetConfig cfg;
+    cfg.devices = 4;
+    cfg.replicas = 2;
+    cfg.shards = 8;
+    cfg.coresPerDevice = 1;
+    cfg.functional = true;
+    cfg.topK = 5;
+    cfg.server.ivf.enabled = true;
+    cfg.server.ivf.build = IvfBuildConfig{4, 512, 3};
+    uint64_t before = rowsGenerated();
+    fleet::Router router(spec, kSeed, cfg);
+    EXPECT_EQ(rowsGenerated() - before, spec.numChunks);
+
+    // An exhaustive and an nprobe = K query on every replica.
+    uint64_t servers = 0, id = 0;
+    for (unsigned d = 0; d < router.devices(); ++d)
+        for (unsigned s = 0; s < router.shards(); ++s) {
+            DeviceServer *srv = router.server(d, s);
+            if (!srv)
+                continue;
+            ++servers;
+            auto q = genQueryForTopic(spec, s, 1300 + s, kSeed);
+            for (RagSearchParams p :
+                 {RagSearchParams{}, RagSearchParams{64, 0x005a}})
+                ASSERT_TRUE(
+                    srv->enqueueAt(++id, q, srv->busySeconds(), p).ok());
+            auto outs = srv->drain();
+            ASSERT_EQ(outs.size(), 2u);
+            for (const ServeOutcome &o : outs)
+                EXPECT_TRUE(o.ok && o.fromDevice) << "query " << o.id;
+        }
+    EXPECT_EQ(servers, 16u);
+    EXPECT_LE(rowsGenerated() - before, spec.numChunks + servers);
 }

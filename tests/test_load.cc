@@ -278,6 +278,10 @@ TEST(EpochGolden, TombstonesNeverSurfaceAndInsertsAreLive)
     mc.deletesPerBatch = 32;
     mc.seed = 17;
     MutationPlan plan(base, 2, mc);
+    // The store form reads the base rows from one index and generates
+    // only the inserts; it must answer exactly as the generating form.
+    const baseline::IndexFlatI16 rows(
+        base.dim, baseline::genEmbeddings(base, 0, base.numChunks, seed));
 
     for (uint64_t e = 1; e <= plan.epochs(); ++e) {
         const baseline::RagCorpusSpec &spec = plan.specAt(e);
@@ -286,6 +290,10 @@ TEST(EpochGolden, TombstonesNeverSurfaceAndInsertsAreLive)
         // k = every position: the exact live set must come back.
         auto hits = baseline::searchEpochFlat(
             spec, seed, query.data(), spec.numChunks);
+        EXPECT_EQ(baseline::searchEpochFlat(rows, spec, seed, query.data(),
+                                            spec.numChunks),
+                  hits)
+            << "epoch " << e;
         EXPECT_EQ(hits.size(), plan.liveChunksAt(e));
         std::unordered_set<uint64_t> got;
         for (const auto &h : hits) {

@@ -35,13 +35,15 @@ constexpr RagVariant allVariants[] = {
     RagVariant::Opt3, RagVariant::AllOpts,
 };
 
-std::vector<Hit>
-referenceTopK(const RagCorpusSpec &spec, uint64_t seed,
-              const std::vector<int16_t> &query, size_t k)
+/**
+ * `spec`'s base rows at `seed`: the one store a test's goldens and
+ * retrievers share (row i is local position i).
+ */
+IndexFlatI16
+baseRows(const RagCorpusSpec &spec, uint64_t seed)
 {
-    IndexFlatI16 idx(spec.dim,
-                     genEmbeddings(spec, 0, spec.numChunks, seed));
-    return idx.search(query.data(), k);
+    return IndexFlatI16(spec.dim, genEmbeddings(spec, spec.firstChunk,
+                                                spec.baseChunks(), seed));
 }
 
 } // namespace
@@ -107,11 +109,15 @@ expectPin(const SimPin &got, const SimPin &want,
         EXPECT_EQ(got[i], want[i]) << what << " " << names[i];
 }
 
-/** A fresh device, HBM model and top-5 retriever on core 0. */
+/**
+ * A fresh device, HBM model and top-5 retriever on core 0, given
+ * `rows` as its store (null: it generates its own).
+ */
 struct PinRig
 {
-    PinRig(const RagCorpusSpec &spec, bool functional)
-        : hbm(dram::hbm2eConfig()), r(dev, hbm, spec, 5)
+    PinRig(const RagCorpusSpec &spec, bool functional,
+           const IndexFlatI16 *rows = nullptr)
+        : hbm(dram::hbm2eConfig()), r(dev, hbm, spec, 5, 0, rows)
     {
         if (!functional)
             dev.core(0).setMode(apu::ExecMode::TimingOnly);
@@ -201,11 +207,12 @@ TEST_P(RagFunctional, TopKMatchesFaissLite)
 {
     RagCorpusSpec spec{"small", 0, 2000, 368};
     auto query = genQuery(spec.dim, 31);
-    auto expect = referenceTopK(spec, 17, query, 5);
+    const IndexFlatI16 rows = baseRows(spec, 17);
+    auto expect = rows.search(query.data(), 5);
 
     apu::ApuDevice dev;
     dram::DramSystem hbm(dram::hbm2eConfig());
-    RagRetriever retriever(dev, hbm, spec, 5);
+    RagRetriever retriever(dev, hbm, spec, 5, 0, &rows);
     auto got = retriever.retrieve(query, GetParam(), 17);
 
     ASSERT_EQ(got.hits.size(), expect.size())
@@ -221,10 +228,11 @@ TEST_P(RagFunctional, MultiTileCorpus)
     // Spans two score VRs / super-tiles (> 32768 chunks).
     RagCorpusSpec spec{"two-tiles", 0, 40000, 368};
     auto query = genQuery(spec.dim, 32);
-    auto expect = referenceTopK(spec, 18, query, 5);
+    const IndexFlatI16 rows = baseRows(spec, 18);
+    auto expect = rows.search(query.data(), 5);
     std::string what = ragVariantName(GetParam());
 
-    PinRig rig(spec, true);
+    PinRig rig(spec, true, &rows);
     auto got = rig.r.retrieve(query, GetParam(), 18);
 
     ASSERT_EQ(got.hits.size(), expect.size());
@@ -257,14 +265,15 @@ TEST(RagBatch, EachQueryExactAgainstSingleRetrieval)
     for (size_t q = 0; q < 4; ++q)
         queries.push_back(genQuery(spec.dim, 100 + q));
 
+    const IndexFlatI16 rows = baseRows(spec, 55);
     apu::ApuDevice dev;
     dram::DramSystem hbm(dram::hbm2eConfig());
-    RagRetriever retriever(dev, hbm, spec, 5);
+    RagRetriever retriever(dev, hbm, spec, 5, 0, &rows);
     auto batch = retriever.retrieveBatch(queries, 55);
     ASSERT_EQ(batch.size(), queries.size());
 
     for (size_t q = 0; q < queries.size(); ++q) {
-        auto expect = referenceTopK(spec, 55, queries[q], 5);
+        auto expect = rows.search(queries[q].data(), 5);
         ASSERT_EQ(batch[q].hits.size(), expect.size()) << q;
         for (size_t i = 0; i < expect.size(); ++i) {
             EXPECT_EQ(batch[q].hits[i].id, expect[i].id)
@@ -452,15 +461,15 @@ namespace {
 
 /** Host emulation of the gf16 accumulation the kernel performs. */
 std::vector<Hit>
-gf16ReferenceTopK(const RagCorpusSpec &spec, uint64_t seed,
+gf16ReferenceTopK(const IndexFlatI16 &rows,
                   const std::vector<int16_t> &query, size_t k)
 {
     std::vector<Hit> all;
-    for (size_t c = 0; c < spec.numChunks; ++c) {
+    for (size_t c = 0; c < rows.size(); ++c) {
         GsiFloat16 acc = GsiFloat16::fromFloat(0.0f);
-        for (size_t d = 0; d < spec.dim; ++d) {
+        for (size_t d = 0; d < rows.dim(); ++d) {
             GsiFloat16 e = GsiFloat16::fromFloat(
-                static_cast<float>(embeddingValue(c, d, seed)));
+                static_cast<float>(rows.raw()[c * rows.dim() + d]));
             GsiFloat16 q = GsiFloat16::fromFloat(
                 static_cast<float>(query[d]));
             acc = acc + e * q;
@@ -482,11 +491,12 @@ TEST(RagGf16, TopKMatchesGf16Emulation)
 {
     RagCorpusSpec spec{"gf16", 0, 3000, 368};
     auto query = genQuery(spec.dim, 61);
-    auto expect = gf16ReferenceTopK(spec, 62, query, 5);
+    const IndexFlatI16 rows = baseRows(spec, 62);
+    auto expect = gf16ReferenceTopK(rows, query, 5);
 
     apu::ApuDevice dev;
     dram::DramSystem hbm(dram::hbm2eConfig());
-    RagRetriever retriever(dev, hbm, spec, 5);
+    RagRetriever retriever(dev, hbm, spec, 5, 0, &rows);
     auto got = retriever.retrieveGf16(query, 62);
 
     ASSERT_EQ(got.hits.size(), expect.size());
@@ -502,12 +512,13 @@ TEST(RagGf16, RaggedSupertileKeepsNegativeScoreHits)
     // gf16 +0.0, whose order key outranks every negative score, so
     // they must be masked before extraction or they use up winners.
     RagCorpusSpec spec{"gf16tiny", 0, 8, 368};
+    const IndexFlatI16 rows = baseRows(spec, 62);
     apu::ApuDevice dev;
     dram::DramSystem hbm(dram::hbm2eConfig());
-    RagRetriever retriever(dev, hbm, spec, 5);
+    RagRetriever retriever(dev, hbm, spec, 5, 0, &rows);
     for (uint64_t qseed = 61; qseed <= 68; ++qseed) {
         auto query = genQuery(spec.dim, qseed);
-        auto expect = gf16ReferenceTopK(spec, 62, query, 5);
+        auto expect = gf16ReferenceTopK(rows, query, 5);
         auto got = retriever.retrieveGf16(query, 62);
         ASSERT_EQ(got.hits.size(), expect.size()) << "query " << qseed;
         for (size_t i = 0; i < expect.size(); ++i) {
@@ -525,11 +536,12 @@ TEST(RagGf16, CloseToExactIntegerRanking)
     // should still be the exact top hit on realistic data.
     RagCorpusSpec spec{"gf16b", 0, 3000, 368};
     auto query = genQuery(spec.dim, 63);
-    auto exact = referenceTopK(spec, 64, query, 5);
+    const IndexFlatI16 rows = baseRows(spec, 64);
+    auto exact = rows.search(query.data(), 5);
 
     apu::ApuDevice dev;
     dram::DramSystem hbm(dram::hbm2eConfig());
-    RagRetriever retriever(dev, hbm, spec, 5);
+    RagRetriever retriever(dev, hbm, spec, 5, 0, &rows);
     auto got = retriever.retrieveGf16(query, 64);
 
     ASSERT_FALSE(got.hits.empty());
@@ -942,11 +954,12 @@ TEST(RagModes, OpIssueCountsMatchAcrossModes)
     // charges every shape-invariant loop once under a repeat, count
     // the same retrievals alike, op by op.
     const RagCorpusSpec spec = raggedSpec(4);
-    auto cl = IvfClustering::build(spec, kPinSeed, {4, 8192, 4});
+    const IndexFlatI16 rows = baseRows(spec, kPinSeed);
+    auto cl = IvfClustering::build(rows, {4, 8192, 4});
     const auto q = genQuery(spec.dim, 1);
     std::map<std::string, double> issues[2];
     for (bool functional : {true, false}) {
-        PinRig rig(spec, functional);
+        PinRig rig(spec, functional, &rows);
         auto shard = metrics::Registry::makeShard();
         metrics::ShardScope scope(shard.get());
         bool was = metrics::enabled();
@@ -985,11 +998,12 @@ TEST(RagModes, ChargeSpansMatchAcrossModesOnOneSupertile)
     // charges each loop once. A loop charged per tile or per plane in
     // Functional mode fails here.
     const RagCorpusSpec spec{"paper-shape", 0, 16741, 368, 0, 4};
-    auto cl = IvfClustering::build(spec, kPinSeed, {4, 8192, 4});
+    const IndexFlatI16 rows = baseRows(spec, kPinSeed);
+    auto cl = IvfClustering::build(rows, {4, 8192, 4});
     const auto q = genQuery(spec.dim, 1);
     std::map<std::string, size_t> spans[2];
     for (bool functional : {true, false}) {
-        PinRig rig(spec, functional);
+        PinRig rig(spec, functional, &rows);
         std::vector<trace::Event> events;
         trace::Tracer::get().enable("/tmp/cisram_test_rag_spans.json");
         {
@@ -1022,13 +1036,14 @@ TEST(RagBatch, ResidentRunsAreCompactAndStagedOnce)
     // into their L1 slot and take no L4. A second call stages
     // nothing, and the destructor frees every run.
     const RagCorpusSpec spec = raggedSpec(4);
-    auto cl = IvfClustering::build(spec, kPinSeed, {4, 8192, 4});
+    const IndexFlatI16 rows = baseRows(spec, kPinSeed);
+    auto cl = IvfClustering::build(rows, {4, 8192, 4});
     apu::ApuDevice dev;
     dram::DramSystem hbm(dram::hbm2eConfig());
     apu::DramAllocator &mem = dev.allocator();
     size_t baseline = mem.liveCount();
     {
-        RagRetriever r(dev, hbm, spec, 5);
+        RagRetriever r(dev, hbm, spec, 5, 0, &rows);
         RagBatchOptions o;
         o.search = {4, kFilterAll};
         o.ivf = &cl;
@@ -1037,9 +1052,9 @@ TEST(RagBatch, ResidentRunsAreCompactAndStagedOnce)
         uint64_t used = mem.used();
         (void)r.retrieveBatch(qs, kPinSeed, o);
         uint64_t runs = 1 + cl.numLists();
-        uint64_t rows = cl.numLists() + spec.numChunks;
+        uint64_t staged = cl.numLists() + spec.numChunks;
         EXPECT_LE(mem.used() - used,
-                  rows * spec.dim * 2 + rows * 2 + 2 * runs * 512);
+                  staged * spec.dim * 2 + staged * 2 + 2 * runs * 512);
         EXPECT_EQ(mem.liveCount(), live + runs);
 
         live = mem.liveCount();
@@ -1060,27 +1075,28 @@ TEST(RagBatch, WarmRetrieverAnswersExactlyLikeAFreshOne)
     // short dim (padded to 64 by the spatial mapping) to keep the
     // sanitizer copy quick.
     const RagCorpusSpec spec{"warm", 0, 6000, 40, 0, 4};
+    const IndexFlatI16 rows = baseRows(spec, kPinSeed);
     // The second clustering is built in the first one's storage, so
     // the retriever must notice new content at the same address.
     std::optional<IvfClustering> cl;
-    cl.emplace(IvfClustering::build(spec, kPinSeed, {4, 2048, 4}));
+    cl.emplace(IvfClustering::build(rows, {4, 2048, 4}));
     const auto first_lists = cl->listOffsets();
     auto query = genQueryForTopic(spec, 1, 950, kPinSeed);
 
     using Results = std::vector<RagRunResult>;
-    using Call = std::function<Results(RagRetriever &, uint64_t seed)>;
+    using Call = std::function<Results(RagRetriever &)>;
     auto batch = [&](size_t b, RagSearchParams search) -> Call {
-        return [&spec, &cl, b, search](RagRetriever &r, uint64_t seed) {
+        return [&spec, &cl, b, search](RagRetriever &r) {
             RagBatchOptions o;
             o.overlapStream = true;
             o.search = search;
             o.ivf = search.nprobe ? &*cl : nullptr;
-            return r.retrieveBatch(pinQueries(spec, b), seed, o);
+            return r.retrieveBatch(pinQueries(spec, b), kPinSeed, o);
         };
     };
     auto single = [&](RagVariant v) -> Call {
-        return [&query, v](RagRetriever &r, uint64_t seed) {
-            return Results{r.retrieve(query, v, seed)};
+        return [&query, v](RagRetriever &r) {
+            return Results{r.retrieve(query, v, kPinSeed)};
         };
     };
     const std::vector<std::pair<std::string, Call>> calls = {
@@ -1093,8 +1109,8 @@ TEST(RagBatch, WarmRetrieverAnswersExactlyLikeAFreshOne)
         {"spatial", single(RagVariant::NoOpt)},
         {"filtered", batch(3, {0, 0x5a})},
         {"gf16",
-         [&query](RagRetriever &r, uint64_t seed) {
-             return Results{r.retrieveGf16(query, seed)};
+         [&query](RagRetriever &r) {
+             return Results{r.retrieveGf16(query, kPinSeed)};
          }},
     };
 
@@ -1105,18 +1121,18 @@ TEST(RagBatch, WarmRetrieverAnswersExactlyLikeAFreshOne)
         std::vector<SimPin> pins;
         std::map<std::string, double> breakdown;
     };
-    auto fresh = [&](const Call &call, uint64_t seed) {
-        PinRig rig(spec, true);
-        Fresh f{call(rig.r, seed), {}, {}};
+    auto fresh = [&](const Call &call) {
+        PinRig rig(spec, true, &rows);
+        Fresh f{call(rig.r), {}, {}};
         for (const RagRunResult &r : f.res)
             f.pins.push_back(simPin(r, rig.dev));
         f.breakdown = rig.dev.core(0).stats().breakdown();
         return f;
     };
-    PinRig warm(spec, true);
+    PinRig warm(spec, true, &rows);
     auto expectWarm = [&](const std::string &what, const Call &call,
-                          uint64_t seed, const Fresh &want) {
-        Results got = call(warm.r, seed);
+                          const Fresh &want) {
+        Results got = call(warm.r);
         EXPECT_EQ(got.size(), want.res.size()) << what;
         for (size_t q = 0; q < std::min(got.size(), want.res.size());
              ++q) {
@@ -1129,52 +1145,49 @@ TEST(RagBatch, WarmRetrieverAnswersExactlyLikeAFreshOne)
 
     std::vector<Fresh> want;
     for (const auto &c : calls)
-        want.push_back(fresh(c.second, kPinSeed));
+        want.push_back(fresh(c.second));
     for (int pass = 0; pass < 2; ++pass)
         for (size_t i = 0; i < calls.size(); ++i)
             expectWarm(calls[i].first + " pass " + std::to_string(pass),
-                       calls[i].second, kPinSeed, want[i]);
+                       calls[i].second, want[i]);
 
     // Another clustering of the same corpus restages the IVF runs.
-    cl.emplace(IvfClustering::build(spec, kPinSeed, {3, 2048, 4}));
+    cl.emplace(IvfClustering::build(rows, {3, 2048, 4}));
     ASSERT_NE(cl->listOffsets(), first_lists);
     for (size_t i : {1, 3})
         expectWarm(calls[i].first + " second clustering",
-                   calls[i].second, kPinSeed,
-                   fresh(calls[i].second, kPinSeed));
-
-    // Another seed restages every layout: the exhaustive run, the IVF
-    // runs, the spatial tiles and the gf16 planes. Its answers
-    // differ, so a stale layout could not match.
-    uint64_t seed2 = kPinSeed + 1;
-    for (size_t i : {0, 3, 4, 6}) {
-        const auto &[name, call] = calls[i];
-        Fresh f = fresh(call, seed2);
-        EXPECT_NE(f.res[0].hits, want[i].res[0].hits) << name;
-        expectWarm(name + " second seed", call, seed2, f);
-    }
+                   calls[i].second, fresh(calls[i].second));
 }
 
-namespace {
-
-/** Flat index of `spec`'s base rows at `seed`. */
-IndexFlatI16
-baseRows(const RagCorpusSpec &spec, uint64_t seed)
+TEST(RagBatch, AnotherCorpusSeedDies)
 {
-    size_t n = spec.epochView ? spec.epochView->baseChunks : spec.numChunks;
-    return IndexFlatI16(spec.dim,
-                        genEmbeddings(spec, spec.firstChunk, n, seed));
+    // A retriever serves the one corpus seed its first functional
+    // call fixes: its store and staged runs are that seed's, so a
+    // functional call at another seed dies naming both. TimingOnly
+    // reads no rows, so it serves any seed.
+    const RagCorpusSpec spec{"seed", 0, 3000, 40, 0, 4};
+    auto serve = [&](RagRetriever &r, uint64_t seed) {
+        (void)r.retrieveBatch(pinQueries(spec, 1), seed);
+    };
+    EXPECT_DEATH(
+        {
+            PinRig rig(spec, true);
+            serve(rig.r, kPinSeed);
+            serve(rig.r, kPinSeed + 1);
+        },
+        "serves corpus seed 4099; a functional call at corpus seed 4100");
+    PinRig timing(spec, false);
+    serve(timing.r, kPinSeed);
+    serve(timing.r, kPinSeed + 1);
 }
-
-} // namespace
 
 TEST(RagBatch, StagingFromRowsMatchesGeneration)
 {
-    // A retriever that copies its base rows from RagBatchOptions::rows
-    // stages the same runs as one that generates them: hits, every
-    // stage latency and every CycleStats number agree. The shard
-    // starts past chunk 0, so row i of the rows is global chunk
-    // firstChunk + i; a short dim keeps the sanitizer copy quick.
+    // A retriever given its base rows stages the same runs as one
+    // that generates them: hits, every stage latency and every
+    // CycleStats number agree. The shard starts past chunk 0, so row
+    // i of the rows is global chunk firstChunk + i; a short dim keeps
+    // the sanitizer copy quick.
     RagCorpusSpec spec{"rows", 0, 6000, 40, 2500, 4};
     const IndexFlatI16 rows = baseRows(spec, kPinSeed);
     const auto cl = IvfClustering::build(rows, {4, 2048, 4});
@@ -1207,12 +1220,11 @@ TEST(RagBatch, StagingFromRowsMatchesGeneration)
     };
     for (const Case &c : cases) {
         auto call = [&](const IndexFlatI16 *from) {
-            auto rig = std::make_unique<PinRig>(*c.spec, true);
+            auto rig = std::make_unique<PinRig>(*c.spec, true, from);
             RagBatchOptions o;
             o.overlapStream = true;
             o.search = c.search;
             o.ivf = c.search.nprobe ? &cl : nullptr;
-            o.rows = from;
             auto qs = pinQueries(*c.spec, c.batch);
             // Twice: the second call runs on the resident runs.
             auto res = rig->r.retrieveBatch(qs, kPinSeed, o);
@@ -1237,8 +1249,8 @@ TEST(RagBatch, StagingFromRowsMatchesGeneration)
 
 TEST(RagBatch, RowsOfAnotherSeedShardOrSizeDie)
 {
-    // Rows that are not the corpus's own die at the first staging
-    // instead of answering from another corpus.
+    // Rows that are not the corpus's own die at the first functional
+    // call instead of answering from another corpus.
     RagCorpusSpec spec{"rows", 0, 3000, 40, 1200, 4};
     RagCorpusSpec other = spec;
     other.firstChunk = 4200;
@@ -1248,12 +1260,113 @@ TEST(RagBatch, RowsOfAnotherSeedShardOrSizeDie)
     const IndexFlatI16 shard2 = baseRows(other, kPinSeed);
     const IndexFlatI16 size2 = baseRows(shorter, kPinSeed);
     auto stage = [&](const IndexFlatI16 &rows) {
-        PinRig rig(spec, true);
-        RagBatchOptions o;
-        o.rows = &rows;
-        (void)rig.r.retrieveBatch(pinQueries(spec, 1), kPinSeed, o);
+        PinRig rig(spec, true, &rows);
+        (void)rig.r.retrieveBatch(pinQueries(spec, 1), kPinSeed);
     };
     EXPECT_DEATH(stage(seed2), "rows of another seed or shard");
     EXPECT_DEATH(stage(shard2), "rows of another seed or shard");
-    EXPECT_DEATH(stage(size2), "RagBatchOptions::rows holds 2999 rows");
+    EXPECT_DEATH(stage(size2), "RagRetriever rows hold 2999 rows");
+}
+
+// ---- one row store per corpus ---------------------------------------
+
+namespace {
+
+/**
+ * Every entry point once: the five mappings, gf16, filtered batches
+ * at b1 and b8, and IVF at nprobe = K.
+ */
+std::vector<RagRunResult>
+everyEntryPoint(RagRetriever &r, const RagCorpusSpec &spec,
+                const IvfClustering &cl)
+{
+    std::vector<RagRunResult> out;
+    const auto q = pinQueries(spec, 1)[0];
+    for (RagVariant v : allVariants)
+        out.push_back(r.retrieve(q, v, kPinSeed));
+    out.push_back(r.retrieveGf16(q, kPinSeed));
+    RagBatchOptions o;
+    o.search.filterMask = 0x5a;
+    for (size_t b : {1, 8})
+        for (RagRunResult &x :
+             r.retrieveBatch(pinQueries(spec, b), kPinSeed, o))
+            out.push_back(x);
+    o.search = {cl.numLists(), kFilterAll};
+    o.ivf = &cl;
+    for (RagRunResult &x : r.retrieveBatch(pinQueries(spec, 3), kPinSeed, o))
+        out.push_back(x);
+    return out;
+}
+
+const RagCorpusSpec kStoreSpec{"store", 0, 6000, 40, 0, 4};
+
+} // namespace
+
+TEST(RagRowStore, StoreLessRetrieverGeneratesEachRowOnce)
+{
+    // Built without rows, a retriever generates its corpus's rows once,
+    // at its first functional call, and stages every layout from them:
+    // the spatial tiles, the exhaustive run, the gf16 planes and each
+    // IVF list. It answers and charges exactly as one given the rows.
+    const IndexFlatI16 rows = baseRows(kStoreSpec, kPinSeed);
+    const auto cl = IvfClustering::build(rows, {4, 2048, 4});
+    uint64_t before = rowsGenerated();
+    PinRig rig(kStoreSpec, true);
+    EXPECT_EQ(rowsGenerated(), before) << "generated at construction";
+    auto got = everyEntryPoint(rig.r, kStoreSpec, cl);
+    EXPECT_EQ(rowsGenerated() - before, kStoreSpec.numChunks);
+
+    PinRig given(kStoreSpec, true, &rows);
+    auto want = everyEntryPoint(given.r, kStoreSpec, cl);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].hits, want[i].hits) << i;
+        EXPECT_EQ(got[i].stages.total(), want[i].stages.total()) << i;
+    }
+}
+
+TEST(RagRowStore, GivenStoreGeneratesOnlyACheckRowAndInserts)
+{
+    // Given its rows, a retriever generates at most one row, to check
+    // them, plus an epoch's inserts, which no base store holds.
+    const IndexFlatI16 rows = baseRows(kStoreSpec, kPinSeed);
+    const auto cl = IvfClustering::build(rows, {4, 2048, 4});
+    uint64_t before = rowsGenerated();
+    {
+        PinRig rig(kStoreSpec, true, &rows);
+        everyEntryPoint(rig.r, kStoreSpec, cl);
+    }
+    EXPECT_LE(rowsGenerated() - before, 1u);
+
+    CorpusEpochView view;
+    view.epoch = 1;
+    view.baseChunks = kStoreSpec.numChunks;
+    for (uint64_t i = 0; i < 150; ++i)
+        view.inserted.push_back(900000 + 5 * i);
+    view.deleted = {3, 5999, 900000 + 5 * 7};
+    RagCorpusSpec epoch = kStoreSpec;
+    epoch.numChunks += view.inserted.size();
+    epoch.epochView = &view;
+    before = rowsGenerated();
+    PinRig rig(epoch, true, &rows);
+    RagBatchOptions o;
+    rig.r.retrieveBatch(pinQueries(epoch, 3), kPinSeed, o);
+    o.search.filterMask = 0x5a;
+    rig.r.retrieveBatch(pinQueries(epoch, 8), kPinSeed, o);
+    uint64_t n = rowsGenerated() - before;
+    EXPECT_GE(n, view.inserted.size());
+    EXPECT_LE(n, view.inserted.size() + 1);
+}
+
+TEST(RagRowStore, TimingOnlyGeneratesNoRows)
+{
+    // TimingOnly stages nothing, so it reads no rows: not at
+    // construction, which happens while the rig's core is still
+    // Functional, and not at any call.
+    const IndexFlatI16 rows = baseRows(kStoreSpec, kPinSeed);
+    const auto cl = IvfClustering::build(rows, {4, 2048, 4});
+    uint64_t before = rowsGenerated();
+    PinRig rig(kStoreSpec, false);
+    everyEntryPoint(rig.r, kStoreSpec, cl);
+    EXPECT_EQ(rowsGenerated() - before, 0u);
 }
